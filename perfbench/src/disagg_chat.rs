@@ -25,7 +25,7 @@ use serde::json::Value;
 
 use crate::outcome::{digest, f, n, obj, Outcome, Sim};
 use crate::spans::Tracer;
-use crate::workload::{layer, ratio, Counted, Layers, Workload};
+use crate::workload::{layer, ratio, Layers, Workload};
 
 const REQUESTS: usize = 200_000;
 /// Prefill-shaped batches priced again, outside the engine.
@@ -47,7 +47,6 @@ pub struct DisaggChat {
 pub struct DisaggRun {
     trace: Vec<DecodeRequest>,
     prefixes: Vec<Option<PrefixGroup>>,
-    draws: u64,
     report: DisaggReport,
 }
 
@@ -133,22 +132,15 @@ impl Workload for DisaggChat {
     }
 
     fn run(&self, t: &Tracer) -> DisaggRun {
-        let (trace, draws) = t.span("workloads.decode_trace", || {
-            if t.enabled() {
-                let (p, o) = (Counted::new(&self.prompts), Counted::new(&self.outputs));
-                let trace = decode_trace(&p, &o, 0.0, DISAGG_RATE, REQUESTS, self.seed);
-                (trace, p.draws() + o.draws())
-            } else {
-                let trace = decode_trace(
-                    &self.prompts,
-                    &self.outputs,
-                    0.0,
-                    DISAGG_RATE,
-                    REQUESTS,
-                    self.seed,
-                );
-                (trace, 0)
-            }
+        let trace = t.span("workloads.decode_trace", || {
+            decode_trace(
+                &self.prompts,
+                &self.outputs,
+                0.0,
+                DISAGG_RATE,
+                REQUESTS,
+                self.seed,
+            )
         });
         let prefixes = t.span("workloads.prefix_assign", || {
             self.profile.assign(trace.len(), self.seed)
@@ -159,7 +151,6 @@ impl Workload for DisaggChat {
         DisaggRun {
             trace,
             prefixes,
-            draws,
             report,
         }
     }
@@ -203,7 +194,8 @@ impl Workload for DisaggChat {
         let run_batch_us = 1e6 * ratio(t.total_s("accelerator.run_batch_replay"), replayed as f64);
 
         let trace_gen_s = t.self_s("workloads.decode_trace") + t.self_s("workloads.prefix_assign");
-        let samples = run.draws as f64;
+        // `decode_trace` draws a prompt and an output length per request.
+        let samples = 2.0 * run.trace.len() as f64;
         let sim_s = t.self_s("disagg.simulate");
         let calls = layer(out, "accelerator.run_batch_calls");
         let mut layers = out.layers.clone();

@@ -19,7 +19,7 @@ use serde::json::Value;
 
 use crate::outcome::{digest, f, n, obj, Outcome, Sim};
 use crate::spans::Tracer;
-use crate::workload::{layer, ratio, Counted, Layers, Workload};
+use crate::workload::{layer, ratio, Layers, Workload};
 
 const REQUESTS: usize = 1_000_000;
 const RATE_SEQ_S: f64 = 50_000.0;
@@ -51,7 +51,6 @@ impl FleetStream {
 /// One job's output: the trace it generated and the engine's report.
 pub struct FleetRun {
     trace: Vec<Request>,
-    draws: u64,
     report: FleetReport,
     stats: FleetRunStats,
 }
@@ -89,22 +88,14 @@ impl Workload for FleetStream {
     }
 
     fn run(&self, t: &Tracer) -> FleetRun {
-        let (trace, draws) = t.span("workloads.poisson_trace", || {
-            if t.enabled() {
-                let sampler = Counted::new(&self.dataset);
-                let trace = poisson_trace(&sampler, RATE_SEQ_S, REQUESTS, self.seed);
-                (trace, sampler.draws())
-            } else {
-                let trace = poisson_trace(&self.dataset, RATE_SEQ_S, REQUESTS, self.seed);
-                (trace, 0)
-            }
+        let trace = t.span("workloads.poisson_trace", || {
+            poisson_trace(&self.dataset, RATE_SEQ_S, REQUESTS, self.seed)
         });
         let (report, stats) = t.span("fleet.simulate", || {
             self.simulate(&trace, ReportMode::Streaming)
         });
         FleetRun {
             trace,
-            draws,
             report,
             stats,
         }
@@ -142,7 +133,8 @@ impl Workload for FleetStream {
         let run_batch_us = 1e6 * ratio(t.total_s("accelerator.run_batch_replay"), replayed as f64);
 
         let trace_gen_s = t.self_s("workloads.poisson_trace");
-        let samples = run.draws as f64;
+        // `poisson_trace` draws one length per request.
+        let samples = run.trace.len() as f64;
         let sim_s = t.self_s("fleet.simulate");
         let calls = layer(out, "accelerator.run_batch_calls");
         let events = layer(out, "fleet.events");

@@ -3,13 +3,14 @@
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
 //!     --workload <fleet_stream_1m|disagg_chat|sweep_grid|all> \
-//!     [--seed N] [--seconds S] [--trace 0|1] [--trace-out PATH]
+//!     [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!
 //! Run from the repository root. One invocation checks the committed
 //! golden pack, builds the workload's set-up several times, then runs the
-//! fixed-size job repeatedly for `--seconds` with tracing off and reports
-//! medians of the end-to-end metrics. With `--trace 1` it then runs the
+//! fixed-size job repeatedly for `--seconds` (default: the declared
+//! `run_seconds`) with tracing off and reports medians of the end-to-end
+//! metrics. With `--trace 1` it then runs the
 //! job once more with every call into the program wrapped in a span, makes
 //! the extra per-layer probes, writes the spans as Chrome trace-event JSON
 //! and reports the per-layer metrics instead. The metric names and units
@@ -26,7 +27,7 @@ mod sweep_grid;
 mod workload;
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use lat_bench::scenarios::HARNESS_SEED;
@@ -100,8 +101,11 @@ const PER_LAYER: [(&str, &str); 43] = [
 ];
 
 /// Seconds of set-ups timed before the first job, and after each job.
-const SETUP_FIRST_S: f64 = 0.025;
-const SETUP_AFTER_JOB_S: f64 = 0.005;
+const SETUP_FIRST_S: f64 = 0.01;
+const SETUP_AFTER_JOB_S: f64 = 0.01;
+/// Set-ups timed together as one `setup_s` sample. A single set-up lasts
+/// microseconds, too short to time steadily on its own.
+const SETUP_BATCH: usize = 64;
 /// Untraced jobs run at least this often, however long `--seconds` is.
 const MIN_REPS: usize = 3;
 /// Threads any workload may use.
@@ -118,16 +122,15 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    trace_out: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line; `--seconds` defaults to `run_seconds`.
+fn parse_args(run_seconds: f64) -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: HARNESS_SEED,
-        seconds: 10.0,
+        seconds: run_seconds,
         trace: false,
-        trace_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -150,7 +153,6 @@ fn parse_args() -> Result<Args, String> {
                     v => return Err(format!("--trace {v:?} is not 0 or 1")),
                 }
             }
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value()?)),
             _ => return Err(format!("unknown argument {flag:?}")),
         }
     }
@@ -173,8 +175,9 @@ fn parse_seed(s: &str) -> Result<u64, String> {
 }
 
 /// Checks that `BENCHMARK.json` declares exactly the workloads and
-/// metrics this program reports, with the same units.
-fn check_declaration(path: &Path) -> Result<(), String> {
+/// metrics this program reports, with the same units, and returns its
+/// `run_seconds`.
+fn check_declaration(path: &Path) -> Result<f64, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let doc = json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
@@ -219,7 +222,14 @@ fn check_declaration(path: &Path) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    match field(&doc, "run_seconds") {
+        Value::UInt(s) => Ok(s as f64),
+        Value::Int(s) if s >= 0 => Ok(s as f64),
+        v => Err(format!(
+            "{}: `run_seconds` is {v:?}, not a whole number",
+            path.display()
+        )),
+    }
 }
 
 /// Peak resident set size of this process (`VmHWM`), in MiB.
@@ -235,17 +245,14 @@ fn peak_rss_mb() -> f64 {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = check_declaration(Path::new("BENCHMARK.json")).and_then(parse_args);
+    let args = match args {
         Ok(a) => a,
         Err(e) => {
             eprintln!("perfbench: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = check_declaration(Path::new("BENCHMARK.json")) {
-        eprintln!("perfbench: {e}");
-        return ExitCode::from(2);
-    }
     match args.workload.as_str() {
         "all" => run_all(),
         "fleet_stream_1m" => bench::<fleet_stream::FleetStream>(&args),
@@ -303,6 +310,22 @@ struct Tally {
 }
 
 impl Tally {
+    /// Failed operations once every problem is known. A problem no
+    /// operation was charged with (the golden pack, a metric) fails them
+    /// all.
+    fn settled_failed(&self) -> u64 {
+        if !self.problems.is_empty() && self.failed == 0 {
+            self.attempted
+        } else {
+            self.failed.min(self.attempted)
+        }
+    }
+
+    /// 1 − failed ÷ attempted, from [`Tally::settled_failed`].
+    fn completed_frac(&self) -> f64 {
+        1.0 - self.settled_failed() as f64 / self.attempted.max(1) as f64
+    }
+
     fn add(&mut self, out: &Outcome) {
         self.attempted += out.attempted;
         self.failed += out.failed;
@@ -320,22 +343,25 @@ impl Tally {
 struct Untraced {
     walls: Vec<f64>,
     setups: Vec<f64>,
+    peak_rss_mb: f64,
     first: Outcome,
     details: Vec<(&'static str, f64, &'static str, u64)>,
 }
 
-/// Set-up and the untraced jobs. Set-ups are timed one by one, for
-/// SETUP_FIRST_S up front and SETUP_AFTER_JOB_S after every job, so their
-/// median covers the same host conditions as the jobs. Jobs run for
-/// `seconds` (at least MIN_REPS of them), and every job must fingerprint
-/// the same.
+/// Set-up and the untraced jobs. Set-ups are timed SETUP_BATCH at a
+/// time, for SETUP_FIRST_S up front and SETUP_AFTER_JOB_S after every job,
+/// so their median covers the same host conditions as the jobs. Jobs run
+/// for `seconds` (at least MIN_REPS of them), and every job must
+/// fingerprint the same.
 fn untraced<W: Workload>(w: &W, args: &Args, workers: usize, tally: &mut Tally) -> Untraced {
     let time_setups = |setups: &mut Vec<f64>, for_s: f64| {
         let clock = Stopwatch::start();
         while setups.is_empty() || clock.elapsed_s() < for_s {
-            let one = Stopwatch::start();
-            std::hint::black_box(W::setup(args.seed, workers));
-            setups.push(one.elapsed_s());
+            let batch = Stopwatch::start();
+            for _ in 0..SETUP_BATCH {
+                std::hint::black_box(W::setup(args.seed, workers));
+            }
+            setups.push(batch.elapsed_s() / SETUP_BATCH as f64);
         }
     };
     let mut setups = Vec::new();
@@ -367,10 +393,12 @@ fn untraced<W: Workload>(w: &W, args: &Args, workers: usize, tally: &mut Tally) 
         }
         time_setups(&mut setups, SETUP_AFTER_JOB_S);
     }
+    let peak_rss_mb = peak_rss_mb();
     let (first, details) = first.expect("at least one job ran");
     Untraced {
         walls,
         setups,
+        peak_rss_mb,
         first,
         details,
     }
@@ -408,15 +436,9 @@ fn traced<W: Workload>(
     }
     values.insert("trace.overhead_s", traced_wall_s - median(&untraced.walls));
 
-    let path = args.trace_out.clone().unwrap_or_else(|| {
-        PathBuf::from(format!(
-            "perfbench/traces/{}-{:#x}.json",
-            args.workload, args.seed
-        ))
-    });
-    let written = path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
+    let dir = Path::new("perfbench/traces");
+    let path = dir.join(format!("{}-{:#x}.json", args.workload, args.seed));
+    let written = std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(&path, t.chrome_trace(context).to_canonical_string()));
     match written {
         Ok(()) => println!("trace: {}", path.display()),
@@ -466,20 +488,46 @@ fn bench<W: Workload>(args: &Args) -> ExitCode {
         out.report_fp(),
         out.counters_fp()
     );
-    let failed = tally.failed.min(tally.attempted);
-    let e2e = [
-        median(&run.walls),
-        median(&run.setups),
-        peak_rss_mb(),
-        1.0 - failed as f64 / tally.attempted.max(1) as f64,
-        out.sim.latency_p50_s,
-        out.sim.latency_p99_s,
-        out.sim.throughput_seq_s,
-    ];
+    let e2e = |tally: &Tally| {
+        [
+            median(&run.walls),
+            median(&run.setups),
+            run.peak_rss_mb,
+            tally.completed_frac(),
+            out.sim.latency_p50_s,
+            out.sim.latency_p99_s,
+            out.sim.throughput_seq_s,
+        ]
+    };
+    let per_layer: Vec<(&str, &str, f64)> = PER_LAYER
+        .iter()
+        .map(|&(name, unit)| (name, unit, layers.remove(name).unwrap_or(0.0)))
+        .collect();
+    assert!(
+        layers.is_empty(),
+        "per-layer values missing from PER_LAYER: {layers:?}"
+    );
+    let traced_layers = if args.trace { &per_layer[..] } else { &[] };
+    let non_finite: Vec<String> = END_TO_END
+        .iter()
+        .zip(e2e(&tally))
+        .map(|(&(name, _), v)| (name, v))
+        .chain(traced_layers.iter().map(|&(name, _, v)| (name, v)))
+        .filter(|(_, v)| !v.is_finite())
+        .map(|(name, v)| format!("metric {name} is {v}"))
+        .collect();
+    tally.problems.extend(non_finite);
+    // Every problem is known now, so `completed_frac` and `failed` agree.
+    let e2e = e2e(&tally);
+    let failed = tally.settled_failed();
+
     for ((name, unit), value) in END_TO_END.iter().zip(e2e) {
         let note = match *name {
             "wall_s" => format!(" (median of {} jobs: {:?})", run.walls.len(), run.walls),
-            "setup_s" => format!(" (median of {} set-ups)", run.setups.len()),
+            "setup_s" => format!(
+                " (median of {} samples of {SETUP_BATCH} set-ups)",
+                run.setups.len()
+            ),
             "sim_latency_p50_s" | "sim_latency_p99_s" => format!(" (n={})", out.sim.samples),
             _ => String::new(),
         };
@@ -488,17 +536,11 @@ fn bench<W: Workload>(args: &Args) -> ExitCode {
     for (name, value, unit, samples) in &run.details {
         println!("{name} = {value} {unit} (n={samples})");
     }
-
     let values: Vec<(&str, &str, f64)> = if args.trace {
-        let values = PER_LAYER
-            .iter()
-            .map(|&(name, unit)| (name, unit, layers.remove(name).unwrap_or(0.0)))
-            .collect();
-        assert!(
-            layers.is_empty(),
-            "per-layer values missing from PER_LAYER: {layers:?}"
-        );
-        values
+        for &(name, unit, value) in &per_layer {
+            println!("{name} = {value} {unit}");
+        }
+        per_layer
     } else {
         END_TO_END
             .iter()
@@ -506,22 +548,7 @@ fn bench<W: Workload>(args: &Args) -> ExitCode {
             .map(|(&(name, unit), value)| (name, unit, value))
             .collect()
     };
-    let mut problems = tally.problems;
-    for &(name, unit, value) in &values {
-        if args.trace {
-            println!("{name} = {value} {unit}");
-        }
-        if !value.is_finite() {
-            problems.push(format!("metric {name} is {value}"));
-        }
-    }
-    // A failure no operation was charged with (the golden pack, a
-    // metric) fails them all.
-    let failed = if problems.is_empty() || failed > 0 {
-        failed
-    } else {
-        tally.attempted
-    };
+    let problems = tally.problems;
     for p in &problems {
         eprintln!("perfbench: FAILED: {p}");
     }
@@ -546,5 +573,34 @@ fn bench<W: Workload>(args: &Args) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_problem_no_job_was_charged_with_fails_every_operation() {
+        let mut tally = Tally {
+            attempted: 10,
+            ..Tally::default()
+        };
+        assert_eq!(tally.settled_failed(), 0);
+        assert_eq!(tally.completed_frac(), 1.0);
+        tally.problems.push("golden pack: differs".into());
+        assert_eq!(tally.settled_failed(), 10);
+        assert_eq!(tally.completed_frac(), 0.0);
+    }
+
+    #[test]
+    fn job_failures_are_counted_as_charged() {
+        let tally = Tally {
+            attempted: 10,
+            failed: 4,
+            problems: vec!["job 2 report differs".into()],
+        };
+        assert_eq!(tally.settled_failed(), 4);
+        assert!((tally.completed_frac() - 0.6).abs() < 1e-12);
     }
 }

@@ -71,11 +71,6 @@ impl Tracer {
         }
     }
 
-    /// Whether spans are recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Tags every later span with workload run `id`.
     pub fn set_run(&self, id: u32) {
         self.run.set(id);

@@ -22,7 +22,7 @@ use serde::json::Value;
 
 use crate::outcome::{f, median, n, obj, Outcome, Sim};
 use crate::spans::{Stopwatch, Tracer};
-use crate::workload::{layer, ratio, Counted, Layers, Workload};
+use crate::workload::{layer, ratio, Layers, Workload};
 
 const CELL_REQUESTS: usize = 40_000;
 const SHARDS: usize = 3;
@@ -157,14 +157,14 @@ impl Workload for SweepGrid {
         // Trace generation happens inside the pool's cells; replay each
         // cell's trace on this thread to time it.
         let cells = self.plan.cells();
+        // `poisson_trace` draws one length per request.
         let mut draws = 0;
         let mut traces: Vec<(f64, Vec<Request>)> = Vec::new();
         for cell in &cells {
-            let sampler = Counted::new(&self.dataset);
             let trace = t.span("workloads.poisson_trace", || {
-                poisson_trace(&sampler, cell.rate_seq_s, CELL_REQUESTS, self.seed)
+                poisson_trace(&self.dataset, cell.rate_seq_s, CELL_REQUESTS, self.seed)
             });
-            draws += sampler.draws();
+            draws += trace.len();
             if !traces.iter().any(|(r, _)| *r == cell.rate_seq_s) {
                 traces.push((cell.rate_seq_s, trace));
             }

@@ -1,10 +1,6 @@
-//! The interface every benchmark workload implements, plus the
-//! pass-through wrappers the traced run hands to the program.
+//! The interface every benchmark workload implements, and helpers for
+//! assembling per-layer values.
 
-use std::cell::Cell;
-
-use lat_tensor::rng::SplitMix64;
-use lat_workloads::datasets::LengthSampler;
 use serde::json::Value;
 
 use crate::outcome::Outcome;
@@ -48,38 +44,6 @@ pub trait Workload: Sized {
     fn details(&self, output: &Self::Output) -> Vec<(&'static str, f64, &'static str, u64)> {
         let _ = output;
         Vec::new()
-    }
-}
-
-/// Pass-through [`LengthSampler`] that counts the lengths it draws.
-pub struct Counted<'a, S: ?Sized> {
-    inner: &'a S,
-    draws: Cell<u64>,
-}
-
-impl<'a, S: LengthSampler + ?Sized> Counted<'a, S> {
-    /// Wraps `inner`.
-    pub fn new(inner: &'a S) -> Self {
-        Self {
-            inner,
-            draws: Cell::new(0),
-        }
-    }
-
-    /// Lengths drawn so far.
-    pub fn draws(&self) -> u64 {
-        self.draws.get()
-    }
-}
-
-impl<S: LengthSampler + ?Sized> LengthSampler for Counted<'_, S> {
-    fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        self.draws.set(self.draws.get() + 1);
-        self.inner.sample_length(rng)
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
     }
 }
 
