@@ -2,7 +2,8 @@
 //! measured.
 //!
 //! Runs a 1M-request Poisson trace through the fleet engine twice — once
-//! under `ReportMode::Streaming` (P² sketches, no per-request retention)
+//! under `ReportMode::Streaming` (log-bucket quantile sketches, no
+//! per-request retention)
 //! and once under `ReportMode::Exact` (the full latency vector) — and
 //! asserts the PR's contract on the pair:
 //!
@@ -11,8 +12,9 @@
 //!    proxy must come in far below the exact run's.
 //! 2. **Bit-identical counters**: completed, makespan, throughput and
 //!    mean batch size match the exact run exactly.
-//! 3. **ε-pinned percentiles**: sketch p50/p95/p99 within
-//!    [`QUANTILE_EPS`] (relative) of the exact ranks.
+//! 3. **α-pinned percentiles**: sketch p50/p95/p99 within
+//!    [`QUANTILE_EPS`] (relative) of the exact ranks — the sketch's 1%
+//!    relative-error guarantee.
 //!
 //! Wall time, event rate and the allocation-counter peak-RSS proxy are
 //! appended to `BENCH_fleet.json` (schema 2). The request count is
@@ -42,8 +44,9 @@ const SMOKE_REQUESTS: usize = 1_000_000;
 const SMOKE_RATE_SEQ_S: f64 = 50_000.0;
 /// Fleet width for the smoke.
 const SMOKE_SHARDS: usize = 4;
-/// Relative tolerance pinned on each sketch percentile vs the exact rank.
-const QUANTILE_EPS: f64 = 0.25;
+/// Relative tolerance pinned on each sketch percentile vs the exact rank:
+/// the sketch's α guarantee.
+const QUANTILE_EPS: f64 = 0.01;
 
 fn requests() -> usize {
     match std::env::var("SMOKE_MILLION_REQUESTS") {

@@ -110,7 +110,7 @@ use crate::fleet::{
     push_event, route, BatchRecord, DispatchPolicy, Event, FleetReport, RateProfile, ShardReport,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_core::sketch::{P2Quantile, QuantileSketch, ReportMode};
+use lat_core::sketch::{QuantileSketch, ReportMode};
 use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::{percentile, percentiles};
 use lat_workloads::datasets::LengthSampler;
@@ -636,7 +636,7 @@ pub(crate) struct DecodeCore<'a> {
     lat_sketch: QuantileSketch,
     ttft_sketch: QuantileSketch,
     itl_sketch: QuantileSketch,
-    high_ttft: P2Quantile,
+    high_ttft: QuantileSketch,
     /// Running makespan under streaming: max over valid step-end pops and
     /// crash-truncation instants — exactly the final `completion_s`
     /// population the exact step-log fold reduces.
@@ -1249,10 +1249,10 @@ impl<'a> DecodeCore<'a> {
             itl_gaps: Vec::new(),
             step_log: Vec::new(),
             mode: ReportMode::Exact,
-            lat_sketch: QuantileSketch::p50_p95_p99(),
-            ttft_sketch: QuantileSketch::p50_p95_p99(),
-            itl_sketch: QuantileSketch::p50_p95_p99(),
-            high_ttft: P2Quantile::new(0.95),
+            lat_sketch: QuantileSketch::new(),
+            ttft_sketch: QuantileSketch::new(),
+            itl_sketch: QuantileSketch::new(),
+            high_ttft: QuantileSketch::new(),
             stream_makespan_s: 0.0,
         }
     }
@@ -1338,7 +1338,7 @@ impl<'a> DecodeCore<'a> {
             if sk.count() == 0 {
                 vec![0.0; 3]
             } else {
-                sk.quantiles()
+                [0.50, 0.95, 0.99].map(|p| sk.quantile(p)).to_vec()
             }
         };
         let sketch_mean = |sk: &QuantileSketch| if sk.count() == 0 { 0.0 } else { sk.mean() };
@@ -1392,7 +1392,7 @@ impl<'a> DecodeCore<'a> {
                 if self.high_ttft.count() == 0 {
                     None
                 } else {
-                    Some(self.high_ttft.quantile())
+                    Some(self.high_ttft.quantile(0.95))
                 },
             ),
         };
@@ -1525,9 +1525,9 @@ pub fn simulate_decode(
 ///
 /// `Exact` is [`simulate_decode`] verbatim. `Streaming` runs the
 /// identical event sequence but feeds TTFT / inter-token gaps / latencies
-/// into P² sketches as tokens are emitted instead of retaining the
+/// into quantile sketches as tokens are emitted instead of retaining the
 /// token-proportional populations: the report's percentile fields are
-/// sketch estimates (within the ε the property suites pin), its
+/// sketch estimates (within 1% of the exact ranks), its
 /// `requests` and `fleet.batch_log` vectors are empty, and the counters,
 /// makespan, throughput, and per-shard stats are bit-identical to
 /// `Exact`.

@@ -104,7 +104,7 @@ use crate::fleet::{
     BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController, Request,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_core::sketch::{P2Quantile, ReportMode};
+use lat_core::sketch::{QuantileSketch, ReportMode};
 use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -1045,7 +1045,7 @@ struct StreamingAssembly {
 
 /// Streaming twin of the [`assemble_outcomes`] / [`tally`] /
 /// [`build_phases`] / SLO-fold chain: identical counting, but per-phase
-/// p95 latency comes from a P² sketch fed in one pass, and no outcome
+/// p95 latency comes from a quantile sketch fed in one pass, and no outcome
 /// vector is ever materialized.
 #[allow(clippy::too_many_arguments)]
 fn assemble_streaming(
@@ -1076,7 +1076,7 @@ fn assemble_streaming(
             let mut phase_completed = 0usize;
             let mut slo_hits = 0usize;
             let mut delivered = 0usize;
-            let mut p95 = P2Quantile::new(0.95);
+            let mut p95 = QuantileSketch::new();
             for r in 0..n {
                 let done = completion_s[r].is_finite();
                 if done && completion_s[r] >= lo && completion_s[r] < hi {
@@ -1110,7 +1110,7 @@ fn assemble_streaming(
                 p95_latency_s: if p95.count() == 0 {
                     0.0
                 } else {
-                    p95.quantile()
+                    p95.quantile(0.95)
                 },
                 scale_events: scale_events
                     .iter()
@@ -1170,7 +1170,7 @@ pub fn simulate_fleet_failure(
 /// is the original verbatim; `Streaming` suppresses the per-request
 /// `outcomes` vector and the engine's batch log, computing tallies, SLO
 /// attainment, and per-phase p95 latencies in streaming passes (the p95s
-/// are P² estimates within the pinned ε).
+/// are sketch estimates within 1% of the exact ranks).
 ///
 /// # Panics
 ///

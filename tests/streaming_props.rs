@@ -32,11 +32,10 @@ use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::workloads::datasets::DatasetSpec;
 
-/// Relative tolerance pinned for every sketch-estimated percentile. The
-/// P² estimator is far tighter than this on the smooth latency
-/// populations the engines produce; the pin is deliberately loose enough
-/// to stay seed-robust under the `HARNESS_SEED` matrix.
-const QUANTILE_EPS: f64 = 0.25;
+/// Relative tolerance pinned for every sketch-estimated percentile: the
+/// log-bucket sketch's α guarantee, which holds for every population and
+/// arrival order — smooth bulks and fault-induced CDF cliffs alike.
+const QUANTILE_EPS: f64 = 0.01;
 
 fn tiny_design(s_avg: usize) -> AcceleratorDesign {
     AcceleratorDesign::new(
@@ -163,56 +162,6 @@ fn assert_quantile_close(tag: &str, sketch: f64, exact: f64) {
         (sketch - exact).abs() <= tol,
         "{tag}: sketch {sketch} vs exact {exact} (tol {tol})"
     );
-}
-
-/// Rank-space pin for quantiles of *cliffy* populations. A value-space ε
-/// is meaningless at a CDF discontinuity (here the exact distribution can
-/// jump ~25× between q0.93 and q0.97, right where p95 sits), so instead
-/// the sketch estimate must land inside the exact sample values at ranks
-/// `p ± 0.04` — the standard accuracy contract for streaming quantile
-/// estimators on atom-heavy data.
-fn assert_quantile_in_rank_window(tag: &str, sketch: f64, sorted: &[f64], p: f64) {
-    assert!(!sorted.is_empty(), "{tag}: no exact samples to pin against");
-    let at = |q: f64| {
-        let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-    let (lo, hi) = (at(p - 0.04), at(p + 0.04));
-    let slack = hi.abs().max(1e-9) * 1e-6;
-    assert!(
-        sketch >= lo - slack && sketch <= hi + slack,
-        "{tag}: sketch {sketch} outside exact rank window [{lo}, {hi}] around p{p}"
-    );
-}
-
-/// Combined pin: close in value space (the smooth-population contract)
-/// *or* inside the exact rank window (the cliff contract). A dense bulk
-/// makes the rank window a hair's width in value space while value-ε is
-/// generous; a CDF cliff makes value-ε impossible while the rank window
-/// is the meaningful bound — every population satisfies one of the two.
-fn assert_quantile_pinned(tag: &str, sketch: f64, exact: f64, sorted: &[f64], p: f64) {
-    let tol = exact.abs().max(1e-9) * QUANTILE_EPS + 1e-9;
-    if (sketch - exact).abs() <= tol {
-        return;
-    }
-    assert_quantile_in_rank_window(tag, sketch, sorted, p);
-}
-
-/// Finite latencies from an exact run's client outcomes, ascending —
-/// the reference population for rank-window percentile pins. `filter`
-/// selects which requests belong (e.g. one incident phase's arrivals).
-fn sorted_latencies(
-    outcomes: &[lat_fpga::hwsim::failure::ClientOutcome],
-    filter: impl Fn(usize) -> bool,
-) -> Vec<f64> {
-    let mut lat: Vec<f64> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(r, o)| filter(*r) && o.latency_s.is_finite())
-        .map(|(_, o)| o.latency_s)
-        .collect();
-    lat.sort_by(f64::total_cmp);
-    lat
 }
 
 /// The bit-identical portion of the streaming contract: every counter,
@@ -372,12 +321,11 @@ fn fleet_failure_streaming_matches_exact() {
     );
     assert!(stream.outcomes.is_empty(), "streaming retained outcomes");
     assert_fleet_counters_equal(&stream.fleet, &exact.fleet);
-    let all = sorted_latencies(&exact.outcomes, |_| true);
     let (sf, ef) = (&stream.fleet, &exact.fleet);
     assert_quantile_close("surge mean latency", sf.mean_latency_s, ef.mean_latency_s);
-    assert_quantile_pinned("surge p50", sf.p50_latency_s, ef.p50_latency_s, &all, 0.50);
-    assert_quantile_pinned("surge p95", sf.p95_latency_s, ef.p95_latency_s, &all, 0.95);
-    assert_quantile_pinned("surge p99", sf.p99_latency_s, ef.p99_latency_s, &all, 0.99);
+    assert_quantile_close("surge p50", sf.p50_latency_s, ef.p50_latency_s);
+    assert_quantile_close("surge p95", sf.p95_latency_s, ef.p95_latency_s);
+    assert_quantile_close("surge p99", sf.p99_latency_s, ef.p99_latency_s);
     assert_eq!(stream.phases.len(), exact.phases.len());
     for (sp, ep) in stream.phases.iter().zip(&exact.phases) {
         assert_eq!(sp.arrivals, ep.arrivals);
@@ -386,22 +334,7 @@ fn fleet_failure_streaming_matches_exact() {
         assert_eq!(sp.scale_events, ep.scale_events);
         assert_eq!(sp.slo_attainment.to_bits(), ep.slo_attainment.to_bits());
         assert_eq!(sp.goodput_seq_s.to_bits(), ep.goodput_seq_s.to_bits());
-        // Phase populations are arrival-bucketed slices of the exact
-        // outcomes; pin each phase's p95 against its own slice so a
-        // phase whose window straddles the fault cliff still has a
-        // meaningful bound.
-        let phase = sorted_latencies(&exact.outcomes, |r| {
-            trace[r].arrival_s >= sp.start_s && trace[r].arrival_s < sp.end_s
-        });
-        if !phase.is_empty() {
-            assert_quantile_pinned(
-                "phase p95",
-                sp.p95_latency_s,
-                ep.p95_latency_s,
-                &phase,
-                0.95,
-            );
-        }
+        assert_quantile_close("phase p95", sp.p95_latency_s, ep.p95_latency_s);
     }
 }
 
@@ -471,37 +404,17 @@ fn autoscale_failure_streaming_matches_exact() {
     assert_fleet_counters_equal(&stream.failure.fleet, &exact.failure.fleet);
     // The autoscaled incident produces a *cliff* latency population: a
     // warm-up-delayed cohort sits orders of magnitude above the healthy
-    // bulk, and the CDF jump lands right at p95. Pin those percentiles in
-    // rank space against the exact per-request latencies instead of the
-    // value-space ε the smooth scenarios use.
-    let lat = sorted_latencies(&exact.failure.outcomes, |_| true);
+    // bulk, and the CDF jump lands right at p95. The sketch's relative
+    // error bound holds across the cliff all the same.
     let (sf, ef) = (&stream.failure.fleet, &exact.failure.fleet);
     assert_quantile_close(
         "autoscale mean latency",
         sf.mean_latency_s,
         ef.mean_latency_s,
     );
-    assert_quantile_pinned(
-        "autoscale p50",
-        sf.p50_latency_s,
-        ef.p50_latency_s,
-        &lat,
-        0.50,
-    );
-    assert_quantile_pinned(
-        "autoscale p95",
-        sf.p95_latency_s,
-        ef.p95_latency_s,
-        &lat,
-        0.95,
-    );
-    assert_quantile_pinned(
-        "autoscale p99",
-        sf.p99_latency_s,
-        ef.p99_latency_s,
-        &lat,
-        0.99,
-    );
+    assert_quantile_close("autoscale p50", sf.p50_latency_s, ef.p50_latency_s);
+    assert_quantile_close("autoscale p95", sf.p95_latency_s, ef.p95_latency_s);
+    assert_quantile_close("autoscale p99", sf.p99_latency_s, ef.p99_latency_s);
 }
 
 #[test]
