@@ -208,115 +208,150 @@ pub fn schedule_batch<T: StageTiming>(
     timing: &T,
     policy: SchedulingPolicy,
 ) -> Schedule {
+    let mut entries = Vec::with_capacity(layers * lengths.len() * timing.num_stages());
+    let schedule = schedule_into(lengths, layers, timing, policy, &mut |e| entries.push(e));
+    Schedule {
+        entries,
+        ..schedule
+    }
+}
+
+/// The makespan of [`schedule_batch`]`(lengths, layers, timing, policy)`,
+/// without materializing its occupancy intervals: the same recurrence,
+/// with every entry dropped as it is issued.
+///
+/// # Panics
+///
+/// As [`schedule_batch`].
+pub fn batch_makespan<T: StageTiming>(
+    lengths: &[usize],
+    layers: usize,
+    timing: &T,
+    policy: SchedulingPolicy,
+) -> u64 {
+    schedule_into(lengths, layers, timing, policy, &mut |_| {}).makespan
+}
+
+/// [`schedule_batch`] with every occupancy interval handed to `emit`
+/// instead of stored; the returned schedule has no entries.
+fn schedule_into<T: StageTiming, F: FnMut(ScheduleEntry)>(
+    lengths: &[usize],
+    layers: usize,
+    timing: &T,
+    policy: SchedulingPolicy,
+    emit: &mut F,
+) -> Schedule {
     assert!(!lengths.is_empty(), "empty batch");
     assert!(layers > 0, "layers must be >= 1");
     let mut sorted: Vec<usize> = lengths.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     let real_tokens: u64 = sorted.iter().map(|&l| l as u64).sum();
-
-    match policy {
-        SchedulingPolicy::LengthAware => {
-            let billed = sorted.clone();
-            flow_shop(&billed, layers, timing, 0, real_tokens)
+    let mut stage_busy = vec![0u64; timing.num_stages()];
+    // The padding policies bill every sequence its group's maximum and
+    // drain the pipeline between groups; PadToMax is one group.
+    let group = match policy {
+        SchedulingPolicy::LengthAware => None,
+        SchedulingPolicy::PadToMax => Some(sorted.len()),
+        SchedulingPolicy::MicroBatch { size } => Some(size),
+    };
+    let (makespan, billed_tokens) = match group {
+        None => {
+            let ready = vec![0; sorted.len()];
+            let makespan = flow_shop(&sorted, ready, layers, timing, &mut stage_busy, emit);
+            (makespan, real_tokens)
         }
-        SchedulingPolicy::PadToMax => {
-            let max = *sorted.first().expect("non-empty");
-            let billed = vec![max; sorted.len()];
-            flow_shop(&billed, layers, timing, 0, real_tokens)
-        }
-        SchedulingPolicy::MicroBatch { size } => {
+        Some(size) => {
             assert!(size > 0, "micro-batch size must be >= 1");
-            let mut merged_entries = Vec::new();
             let mut offset = 0u64;
-            let mut stage_busy = vec![0u64; timing.num_stages()];
             let mut billed_tokens = 0u64;
-            let mut seq_base = 0usize;
-            for chunk in sorted.chunks(size) {
-                let max = *chunk.iter().max().expect("non-empty chunk");
-                let billed = vec![max; chunk.len()];
-                let sub = flow_shop(&billed, layers, timing, offset, 0);
-                for mut e in sub.entries.iter().copied() {
-                    e.seq += seq_base;
-                    merged_entries.push(e);
-                }
-                for (acc, &b) in stage_busy.iter_mut().zip(&sub.stage_busy) {
-                    *acc += b;
-                }
-                billed_tokens += sub.billed_tokens;
-                // Pipeline drains fully between micro-batches.
-                offset = sub.makespan;
-                seq_base += chunk.len();
+            for (i, chunk) in sorted.chunks(size).enumerate() {
+                // Sorted descending: the chunk's first length is its max.
+                let max = chunk.first().copied().unwrap_or(0);
+                billed_tokens += max as u64 * chunk.len() as u64;
+                let seq_base = i * size;
+                offset = flow_shop(
+                    &vec![max; chunk.len()],
+                    vec![offset; chunk.len()],
+                    layers,
+                    timing,
+                    &mut stage_busy,
+                    &mut |mut e| {
+                        e.seq += seq_base;
+                        emit(e)
+                    },
+                );
             }
-            let makespan = offset;
-            Schedule {
-                entries: merged_entries,
-                num_stages: timing.num_stages(),
-                makespan,
-                stage_busy,
-                billed_tokens,
-                real_tokens,
-            }
+            (offset, billed_tokens)
         }
+    };
+    Schedule {
+        entries: Vec::new(),
+        num_stages: timing.num_stages(),
+        makespan,
+        stage_busy,
+        billed_tokens,
+        real_tokens,
     }
 }
 
 /// Permutation flow-shop schedule of `billed` lengths across
-/// `layers × stages`, starting at cycle `start_offset`.
+/// `layers × stages`, with sequence `i` free to enter its first layer at
+/// cycle `ready[i]`. Adds each stage's busy cycles to `stage_busy`, hands
+/// every occupancy interval to `emit`, and returns the makespan (the
+/// absolute cycle of the last completion).
 ///
 /// Jobs are issued layer-major (`layer 0: seq 0..B`, `layer 1: seq 0..B`,
 /// …); stage `k` of job `j` starts when stage `k` is free (previous job
 /// finished it) *and* stage `k-1` of job `j` finished; additionally layer
 /// `l` of sequence `i` cannot enter stage 0 before layer `l-1` of the same
 /// sequence left the last stage.
-fn flow_shop<T: StageTiming>(
+fn flow_shop<T: StageTiming, F: FnMut(ScheduleEntry)>(
     billed: &[usize],
+    ready: Vec<u64>,
     layers: usize,
     timing: &T,
-    start_offset: u64,
-    real_tokens: u64,
-) -> Schedule {
+    stage_busy: &mut [u64],
+    emit: &mut F,
+) -> u64 {
     let stages = timing.num_stages();
-    let batch = billed.len();
-    let mut stage_free = vec![start_offset; stages];
-    // finish[(seq)] = completion time of the previous layer's last stage.
-    let mut layer_done = vec![start_offset; batch];
-    let mut entries = Vec::with_capacity(layers * batch * stages);
-    let mut stage_busy = vec![0u64; stages];
-    let mut makespan = start_offset;
+    // Stage times depend on the sequence and the stage, never the layer:
+    // one row of `stages` cycle counts per sequence.
+    let cycles: Vec<u64> = billed
+        .iter()
+        .flat_map(|&len| (0..stages).map(move |stage| timing.stage_cycles(stage, len)))
+        .collect();
+    let mut stage_free = vec![0u64; stages];
+    // Completion of each sequence's previous layer; `ready` before the first.
+    let mut layer_done = ready;
+    let mut makespan = layer_done.iter().copied().max().unwrap_or(0);
 
     for layer in 0..layers {
-        for (seq, &len) in billed.iter().enumerate() {
-            let mut prev_stage_done = layer_done[seq];
-            for stage in 0..stages {
-                let t = timing.stage_cycles(stage, len);
-                let start = prev_stage_done.max(stage_free[stage]);
+        let mut rows = cycles.iter();
+        for (seq, done) in layer_done.iter_mut().enumerate() {
+            // `zip` stops at the last stage without pulling from `rows`,
+            // so each sequence takes exactly its own row.
+            let row = stage_free
+                .iter_mut()
+                .zip(stage_busy.iter_mut())
+                .zip(rows.by_ref());
+            for (stage, ((free, busy), &t)) in row.enumerate() {
+                let start = (*done).max(*free);
                 let end = start + t;
-                entries.push(ScheduleEntry {
+                emit(ScheduleEntry {
                     seq,
                     layer,
                     stage,
                     start,
                     end,
                 });
-                stage_free[stage] = end;
-                stage_busy[stage] += t;
-                prev_stage_done = end;
+                *free = end;
+                *busy += t;
+                *done = end;
             }
-            layer_done[seq] = prev_stage_done;
-            makespan = makespan.max(prev_stage_done);
+            makespan = makespan.max(*done);
         }
     }
-
-    let billed_tokens: u64 =
-        billed.iter().map(|&l| l as u64).sum::<u64>() * layers as u64 / layers as u64;
-    Schedule {
-        entries,
-        num_stages: stages,
-        makespan: makespan - start_offset + start_offset, // absolute end
-        stage_busy,
-        billed_tokens,
-        real_tokens,
-    }
+    makespan
 }
 
 /// Schedules a batch whose sequences have *release times* (arrival
@@ -349,38 +384,16 @@ pub fn schedule_batch_with_releases<T: StageTiming>(
             .then(lengths[b].cmp(&lengths[a]))
             .then(a.cmp(&b))
     });
+    let (billed, ready): (Vec<usize>, Vec<u64>) =
+        order.iter().map(|&i| (lengths[i], releases[i])).unzip();
 
     let stages = timing.num_stages();
-    let mut stage_free = vec![0u64; stages];
-    let mut layer_done: Vec<u64> = order.iter().map(|&i| releases[i]).collect();
     let mut entries = Vec::with_capacity(layers * lengths.len() * stages);
     let mut stage_busy = vec![0u64; stages];
-    let mut makespan = 0u64;
+    let makespan = flow_shop(&billed, ready, layers, timing, &mut stage_busy, &mut |e| {
+        entries.push(e)
+    });
     let real_tokens: u64 = lengths.iter().map(|&l| l as u64).sum();
-
-    for layer in 0..layers {
-        for (slot, &orig) in order.iter().enumerate() {
-            let len = lengths[orig];
-            let mut prev_done = layer_done[slot];
-            for stage in 0..stages {
-                let t = timing.stage_cycles(stage, len);
-                let start = prev_done.max(stage_free[stage]);
-                let end = start + t;
-                entries.push(ScheduleEntry {
-                    seq: slot,
-                    layer,
-                    stage,
-                    start,
-                    end,
-                });
-                stage_free[stage] = end;
-                stage_busy[stage] += t;
-                prev_done = end;
-            }
-            layer_done[slot] = prev_done;
-            makespan = makespan.max(prev_done);
-        }
-    }
 
     Schedule {
         entries,
@@ -736,6 +749,56 @@ mod tests {
             bar.starts_with('M'),
             "first row should start with MM: {bar}"
         );
+    }
+
+    #[test]
+    fn batch_makespan_equals_schedule_makespan() {
+        let (lengths, timing) = fig5_setup();
+        for layers in 1..4 {
+            for policy in [
+                SchedulingPolicy::LengthAware,
+                SchedulingPolicy::PadToMax,
+                SchedulingPolicy::MicroBatch { size: 1 },
+                SchedulingPolicy::MicroBatch { size: 2 },
+                SchedulingPolicy::MicroBatch { size: 8 },
+            ] {
+                assert_eq!(
+                    batch_makespan(&lengths, layers, &timing, policy),
+                    schedule_batch(&lengths, layers, &timing, policy).makespan(),
+                    "{policy} × {layers} layers"
+                );
+            }
+        }
+    }
+
+    /// Counts `stage_cycles` calls.
+    struct CountingTiming {
+        inner: LinearStageTiming,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl StageTiming for CountingTiming {
+        fn num_stages(&self) -> usize {
+            self.inner.num_stages()
+        }
+
+        fn stage_cycles(&self, stage: usize, len: usize) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.stage_cycles(stage, len)
+        }
+    }
+
+    #[test]
+    fn stage_cycles_priced_once_per_sequence_and_stage() {
+        let (lengths, inner) = fig5_setup();
+        let timing = CountingTiming {
+            inner,
+            calls: std::cell::Cell::new(0),
+        };
+        let layers = 6;
+        let s = schedule_batch(&lengths, layers, &timing, SchedulingPolicy::LengthAware);
+        assert_eq!(s.entries().len(), lengths.len() * layers * 3);
+        assert_eq!(timing.calls.get(), lengths.len() * 3);
     }
 
     #[test]

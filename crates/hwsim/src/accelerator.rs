@@ -21,7 +21,7 @@
 
 use crate::report::FpgaRunReport;
 use crate::spec::FpgaSpec;
-use lat_core::pipeline::{schedule_batch, Schedule, SchedulingPolicy, StageTiming};
+use lat_core::pipeline::{batch_makespan, schedule_batch, Schedule, SchedulingPolicy, StageTiming};
 use lat_core::stage_alloc::{allocate_stages, ResourceModel, StageAllocation};
 use lat_model::config::ModelConfig;
 use lat_model::graph::{AttentionMode, OpKind, OperatorGraph};
@@ -248,11 +248,7 @@ impl AcceleratorDesign {
     /// Schedules `lengths` through the design under `policy` and returns
     /// the raw schedule (cycle-level).
     pub fn schedule(&self, lengths: &[usize], policy: SchedulingPolicy) -> Schedule {
-        let timing = DesignTiming {
-            design: self,
-            batch: lengths.len(),
-            attention_only: false,
-        };
+        let timing = self.timing(lengths.len());
         schedule_batch(lengths, self.cfg.layers, &timing, policy)
     }
 
@@ -260,6 +256,16 @@ impl AcceleratorDesign {
     pub fn run_batch(&self, lengths: &[usize], policy: SchedulingPolicy) -> FpgaRunReport {
         let schedule = self.schedule(lengths, policy);
         self.report_from_schedule(lengths, policy, &schedule)
+    }
+
+    /// The batch's service time alone: bit-equal to
+    /// `run_batch(lengths, policy).seconds`, through the same pipeline
+    /// recurrence, but without building the cycle schedule, op counts,
+    /// utilization or energy. This is how the serving engines price work.
+    pub fn batch_seconds(&self, lengths: &[usize], policy: SchedulingPolicy) -> f64 {
+        let timing = self.timing(lengths.len());
+        let makespan = batch_makespan(lengths, self.cfg.layers, &timing, policy);
+        self.spec.cycles_to_seconds(makespan)
     }
 
     /// Simulates only the self-attention portion of the workload — the

@@ -36,7 +36,7 @@
 //! priced exactly as today's encoder batch; the first output token falls
 //! out of that pass) and already-resident requests contribute one token
 //! each (decode, priced as 1-token members of the same batch). A single
-//! `run_batch(contexts ++ [1; decoding])` prices the whole iteration, so
+//! `batch_seconds(contexts ++ [1; decoding])` prices the whole iteration, so
 //! HBM weight streaming is amortized across prefill and decode members
 //! alike — the physical reason iteration-level batching is cheap to admit
 //! into. Every resident emits exactly one token per iteration. With
@@ -113,7 +113,7 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{QuantileSketch, ReportMode};
 use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::{percentile, percentiles};
-use lat_workloads::datasets::LengthSampler;
+use lat_workloads::datasets::{LengthSampler, PreparedSampler};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -211,20 +211,21 @@ pub fn nonstationary_decode_trace<P: LengthSampler + ?Sized, O: LengthSampler + 
 /// The per-request payload closure shared by [`decode_trace`] and
 /// [`nonstationary_decode_trace`]: one source of truth for the draw order,
 /// so the stationary and nonstationary generators cannot drift apart.
-fn decode_payload<'a, P: LengthSampler + ?Sized, O: LengthSampler + ?Sized>(
-    prefill: &'a P,
-    output: &'a O,
+fn decode_payload<P: LengthSampler + ?Sized, O: LengthSampler + ?Sized>(
+    prefill: &P,
+    output: &O,
     high_fraction: f64,
     seed: u64,
-) -> impl FnMut(&mut SplitMix64, f64) -> DecodeRequest + 'a {
+) -> impl FnMut(&mut SplitMix64, f64) -> DecodeRequest {
     assert!(
         (0.0..=1.0).contains(&high_fraction),
         "high_fraction outside [0, 1]"
     );
     let mut aux = SplitMix64::new(seed ^ DECODE_AUX_STREAM);
+    let (prefill, output) = (prefill.prepare(), output.prepare());
     move |rng, t| {
-        let prefill_len = prefill.sample_length(rng);
-        let output_len = output.sample_length(&mut aux).max(1);
+        let prefill_len = prefill.sample(rng);
+        let output_len = output.sample(&mut aux).max(1);
         let priority = if aux.next_f64() < high_fraction {
             Priority::High
         } else {
@@ -651,9 +652,7 @@ impl DecodeCore<'_> {
         if let Some(c) = self.shards[s].decode_cost_cache[batch] {
             return c;
         }
-        let c = self.designs[s]
-            .run_batch(&vec![1usize; batch], self.policy)
-            .seconds;
+        let c = self.designs[s].batch_seconds(&vec![1usize; batch], self.policy);
         self.shards[s].decode_cost_cache[batch] = Some(c);
         c
     }
@@ -810,7 +809,7 @@ impl DecodeCore<'_> {
         let cost = if lens.len() == old {
             self.decode_cost(s, old) // pure-decode iteration: cached
         } else {
-            self.designs[s].run_batch(&lens, self.policy).seconds
+            self.designs[s].batch_seconds(&lens, self.policy)
         } * self.slowdown[s];
         let done = now + cost;
         let sh = &mut self.shards[s];
@@ -1777,7 +1776,7 @@ mod tests {
     fn single_step_burst_reproduces_fleet_engine_exactly() {
         // output_len == 1 makes every request a pure prefill; on a burst
         // the decode engine forms the same full batches as the encoder
-        // fleet's cap-fill path, and both price them with `run_batch`, so
+        // fleet's cap-fill path, and both price them with `batch_seconds`, so
         // throughput agrees to rounding error.
         let design = tiny_design(64);
         let lens = [64usize, 32, 48, 64, 16, 40, 56, 24];

@@ -9,7 +9,10 @@
 //! Lengths are sampled from a truncated shifted-exponential distribution
 //! calibrated to hit the dataset's average, with the maximum as a hard
 //! clip — the right-skewed shape real NLP length histograms have, and the
-//! property that drives the paper's padding-overhead analysis.
+//! property that drives the paper's padding-overhead analysis. The
+//! calibration is an 80-step bisection, so it is solved once, by
+//! [`LengthSampler::prepare`], and every draw after that is one uniform
+//! and one `ln`.
 
 use lat_tensor::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
@@ -20,17 +23,37 @@ use std::fmt;
 /// Both a single [`DatasetSpec`] and a [`MixedWorkload`] can feed a request
 /// stream (e.g. the serving/fleet simulators in `lat-hwsim`), so consumers
 /// take `impl LengthSampler` instead of hard-coding one of the two.
+///
+/// Calibration happens in [`LengthSampler::prepare`]: a trace generator
+/// prepares its sampler once and draws every length from the returned
+/// [`PreparedSampler`], so its per-request loop does only the draw.
 pub trait LengthSampler {
-    /// Samples one sequence length.
-    fn sample_length(&self, rng: &mut SplitMix64) -> usize;
+    /// The calibrated distribution that draws come from.
+    type Prepared: PreparedSampler;
+
+    /// Solves the distribution's calibration and returns it ready to draw.
+    fn prepare(&self) -> Self::Prepared;
 
     /// Display label for reports.
     fn label(&self) -> String;
 }
 
+/// A length distribution with its calibration already solved (see
+/// [`LengthSampler::prepare`]).
+pub trait PreparedSampler {
+    /// Draws one sequence length.
+    fn sample(&self, rng: &mut SplitMix64) -> usize;
+}
+
 impl LengthSampler for DatasetSpec {
-    fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        DatasetSpec::sample_length(self, rng)
+    type Prepared = TruncatedExp;
+
+    fn prepare(&self) -> TruncatedExp {
+        TruncatedExp {
+            min_len: self.min_len,
+            max_len: self.max_len,
+            scale: self.calibrated_scale(),
+        }
     }
 
     fn label(&self) -> String {
@@ -39,8 +62,17 @@ impl LengthSampler for DatasetSpec {
 }
 
 impl LengthSampler for MixedWorkload {
-    fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        MixedWorkload::sample_length(self, rng)
+    type Prepared = PreparedMix;
+
+    fn prepare(&self) -> PreparedMix {
+        PreparedMix {
+            components: self
+                .components
+                .iter()
+                .map(|(d, w)| (d.prepare(), *w))
+                .collect(),
+            total: self.components.iter().map(|&(_, w)| w).sum(),
+        }
     }
 
     fn label(&self) -> String {
@@ -50,6 +82,53 @@ impl LengthSampler for MixedWorkload {
             .map(|(d, _)| d.name.clone())
             .collect();
         format!("mix({})", names.join("+"))
+    }
+}
+
+/// A [`DatasetSpec`]'s length distribution, prepared: a shifted exponential
+/// with its calibrated scale, clipped to `[min_len, max_len]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TruncatedExp {
+    min_len: usize,
+    max_len: usize,
+    scale: f64,
+}
+
+impl TruncatedExp {
+    /// The exponential scale whose `[min, max]`-truncated mean is the
+    /// spec's average length.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+}
+
+impl PreparedSampler for TruncatedExp {
+    fn sample(&self, rng: &mut SplitMix64) -> usize {
+        let u = rng.next_f64().clamp(1e-12, 1.0 - 1e-12);
+        let x = self.min_len as f64 - self.scale * (1.0 - u).ln();
+        (x.round() as usize).clamp(self.min_len, self.max_len)
+    }
+}
+
+/// A [`MixedWorkload`], prepared: every component calibrated and the
+/// weight total summed once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedMix {
+    components: Vec<(TruncatedExp, f64)>,
+    total: f64,
+}
+
+impl PreparedSampler for PreparedMix {
+    /// Picks a component by weight, then samples from it.
+    fn sample(&self, rng: &mut SplitMix64) -> usize {
+        let mut x = rng.next_f64() * self.total;
+        for (d, w) in &self.components {
+            if x < *w {
+                return d.sample(rng);
+            }
+            x -= w;
+        }
+        self.components.last().expect("non-empty mix").0.sample(rng)
     }
 }
 
@@ -143,17 +222,19 @@ impl DatasetSpec {
     /// Samples one sequence length.
     ///
     /// Shifted exponential with rate tuned so the *truncated* mean lands on
-    /// `avg_len`, clipped to `[min_len, max_len]`.
+    /// `avg_len`, clipped to `[min_len, max_len]`. Each call solves that
+    /// calibration afresh; to draw many lengths, call
+    /// [`LengthSampler::prepare`] once and sample the result, as the batch
+    /// samplers below and the trace generators do. Both give the same
+    /// stream.
     pub fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        let scale = self.calibrated_scale();
-        let u = rng.next_f64().clamp(1e-12, 1.0 - 1e-12);
-        let x = self.min_len as f64 - scale * (1.0 - u).ln();
-        (x.round() as usize).clamp(self.min_len, self.max_len)
+        self.prepare().sample(rng)
     }
 
     /// Samples a batch of lengths.
     pub fn sample_batch(&self, rng: &mut SplitMix64, batch_size: usize) -> Vec<usize> {
-        (0..batch_size).map(|_| self.sample_length(rng)).collect()
+        let lengths = self.prepare();
+        (0..batch_size).map(|_| lengths.sample(rng)).collect()
     }
 
     /// Samples `n_batches` batches of `batch_size` lengths each.
@@ -163,8 +244,9 @@ impl DatasetSpec {
         batch_size: usize,
         n_batches: usize,
     ) -> Vec<Vec<usize>> {
+        let lengths = self.prepare();
         (0..n_batches)
-            .map(|_| self.sample_batch(rng, batch_size))
+            .map(|_| (0..batch_size).map(|_| lengths.sample(rng)).collect())
             .collect()
     }
 
@@ -186,7 +268,8 @@ impl DatasetSpec {
 
     /// Exponential scale whose `[min,max]`-truncated mean equals `avg_len`,
     /// found by bisection (the truncation pulls the mean below `min+scale`,
-    /// so the naive `scale = avg - min` undershoots).
+    /// so the naive `scale = avg - min` undershoots). Solved once per
+    /// [`LengthSampler::prepare`].
     fn calibrated_scale(&self) -> f64 {
         let target = self.avg_len as f64;
         let min = self.min_len as f64;
@@ -264,26 +347,16 @@ impl MixedWorkload {
     }
 
     /// Samples one length: picks a component by weight, then samples from
-    /// it.
+    /// it. Each call prepares the mix afresh; to draw many lengths, call
+    /// [`LengthSampler::prepare`] once and sample the result.
     pub fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        let total: f64 = self.components.iter().map(|&(_, w)| w).sum();
-        let mut x = rng.next_f64() * total;
-        for (d, w) in &self.components {
-            if x < *w {
-                return d.sample_length(rng);
-            }
-            x -= w;
-        }
-        self.components
-            .last()
-            .expect("non-empty mix")
-            .0
-            .sample_length(rng)
+        self.prepare().sample(rng)
     }
 
     /// Samples a batch of lengths from the mix.
     pub fn sample_batch(&self, rng: &mut SplitMix64, batch_size: usize) -> Vec<usize> {
-        (0..batch_size).map(|_| self.sample_length(rng)).collect()
+        let lengths = self.prepare();
+        (0..batch_size).map(|_| lengths.sample(rng)).collect()
     }
 
     /// Weighted expected average length of the mix.
@@ -446,23 +519,19 @@ mod tests {
 
     #[test]
     fn length_sampler_trait_matches_inherent_methods() {
-        // The trait must be a pure forwarding layer: same rng stream, same
-        // lengths as the inherent methods.
+        // Preparing once must not change the stream: same rng draws, same
+        // lengths as the per-call inherent methods.
         let spec = DatasetSpec::rte();
         let mix = MixedWorkload::paper_mix();
         let (mut a, mut b) = (SplitMix64::new(11), SplitMix64::new(11));
+        let lengths = spec.prepare();
         for _ in 0..200 {
-            assert_eq!(
-                LengthSampler::sample_length(&spec, &mut a),
-                spec.sample_length(&mut b)
-            );
+            assert_eq!(lengths.sample(&mut a), spec.sample_length(&mut b));
         }
         let (mut a, mut b) = (SplitMix64::new(12), SplitMix64::new(12));
+        let lengths = mix.prepare();
         for _ in 0..200 {
-            assert_eq!(
-                LengthSampler::sample_length(&mix, &mut a),
-                mix.sample_length(&mut b)
-            );
+            assert_eq!(lengths.sample(&mut a), mix.sample_length(&mut b));
         }
         assert_eq!(LengthSampler::label(&spec), "RTE");
         assert!(LengthSampler::label(&mix).contains("RTE"));

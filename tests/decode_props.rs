@@ -21,7 +21,7 @@ use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::tensor::rng::SplitMix64;
-use lat_fpga::workloads::datasets::{DatasetSpec, LengthSampler};
+use lat_fpga::workloads::datasets::{DatasetSpec, LengthSampler, PreparedSampler};
 use proptest::prelude::*;
 
 fn tiny_design(s_avg: usize) -> AcceleratorDesign {
@@ -46,12 +46,20 @@ fn dispatch_from_index(i: usize) -> DispatchPolicy {
 struct SingleToken;
 
 impl LengthSampler for SingleToken {
-    fn sample_length(&self, _rng: &mut SplitMix64) -> usize {
-        1
+    type Prepared = SingleToken;
+
+    fn prepare(&self) -> SingleToken {
+        SingleToken
     }
 
     fn label(&self) -> String {
         "1-token".into()
+    }
+}
+
+impl PreparedSampler for SingleToken {
+    fn sample(&self, _rng: &mut SplitMix64) -> usize {
+        1
     }
 }
 
