@@ -109,10 +109,10 @@ fn main() {
         stream_stats.peak_tracked_bytes(),
         exact_stats.peak_tracked_bytes(),
     );
-    // Both modes share the pre-seeded O(n) arrival heap (the engine's
-    // dominant transient); what streaming eliminates is everything
-    // *retained past the run* — the per-request latency vector and the
-    // batch log. That retention is the entire proxy gap.
+    // Both modes count the same O(n) pending events (unconsumed trace
+    // arrivals plus the run-time heap); what streaming eliminates is
+    // everything *retained past the run* — the per-request latency vector
+    // and the batch log. That retention is the entire proxy gap.
     assert!(
         stream_bytes < exact_bytes,
         "streaming proxy {stream_bytes} B is not below exact {exact_bytes} B"

@@ -107,7 +107,8 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::fleet::{
-    push_event, route, BatchRecord, DispatchPolicy, Event, FleetReport, RateProfile, ShardReport,
+    route, Arrival, ArrivalKind, BatchRecord, DispatchPolicy, EventQueue, FleetReport, RateProfile,
+    ShardReport,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{QuantileSketch, ReportMode};
@@ -115,7 +116,7 @@ use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::{percentile, percentiles};
 use lat_workloads::datasets::{LengthSampler, PreparedSampler};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// XOR'd into the trace seed to derive the auxiliary RNG stream that draws
@@ -146,6 +147,12 @@ pub struct DecodeRequest {
     /// Priority class (only [`DecodeScheduler::ContinuousPreempt`] looks
     /// at it).
     pub priority: Priority,
+}
+
+impl Arrival for DecodeRequest {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
 }
 
 /// Generates a Poisson decode trace: prefill lengths from `prefill`,
@@ -538,6 +545,19 @@ enum DecodeEventKind {
     Control,
 }
 
+impl ArrivalKind for DecodeEventKind {
+    fn arrival(r: usize) -> Self {
+        DecodeEventKind::Arrival(r)
+    }
+
+    fn arrival_index(&self) -> Option<usize> {
+        match *self {
+            DecodeEventKind::Arrival(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
 /// Hooks a controller drives the decode engine through;
 /// [`simulate_decode`] runs with the no-op `NullDecodeController`, the
 /// decode autoscaler ([`crate::autoscale`]) with a policy-driven one.
@@ -571,7 +591,7 @@ impl DecodeController for NullDecodeController {}
 /// The decode engine's mutable core, shared by [`simulate_decode`] (fixed
 /// membership, no control events) and
 /// [`crate::autoscale::simulate_decode_autoscale`] (runtime shard
-/// join/retire): per-shard queues and resident sets, the event heap, and
+/// join/retire): per-shard queues and resident sets, the event queue, and
 /// request bookkeeping.
 ///
 /// `accepting[s]` gates *routing only* — a shard that stops accepting
@@ -597,8 +617,7 @@ pub(crate) struct DecodeCore<'a> {
     /// an exhausted retry budget). Termination checks count
     /// `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    heap: BinaryHeap<Event<DecodeEventKind>>,
-    seq: u64,
+    queue: EventQueue<'a, DecodeRequest, DecodeEventKind>,
     admit_seq: u64,
     rr_next: usize,
     dispatch: DispatchPolicy,
@@ -642,6 +661,11 @@ pub(crate) struct DecodeCore<'a> {
     /// crash-truncation instants — exactly the final `completion_s`
     /// population the exact step-log fold reduces.
     stream_makespan_s: f64,
+    /// Shards a same-instant arrival burst routed to, kept across events
+    /// so the loop reuses one allocation.
+    touched: Vec<usize>,
+    /// Prefill lengths of the iteration being priced, reused likewise.
+    lens: Vec<usize>,
 }
 
 impl DecodeCore<'_> {
@@ -657,43 +681,36 @@ impl DecodeCore<'_> {
         c
     }
 
-    /// Moves the request at `queue[idx]` of shard `s` into a free slot.
-    /// A KV-warm request (completed [`KvTransfer::Copy`]) resumes
-    /// decoding; everyone else (re-)prefills. The warmth flag is one-shot:
-    /// any later re-admission pays the re-prefill again.
-    fn admit_at(&mut self, s: usize, idx: usize) {
-        let req = self.shards[s]
-            .queue
-            .remove(idx)
-            .expect("admit index in bounds");
-        let admit_seq = self.admit_seq;
-        self.admit_seq += 1;
-        let is_new = !self.kv_warm[req];
-        self.kv_warm[req] = false;
-        self.shards[s].resident.push(Slot {
-            req,
-            is_new,
-            admit_seq,
-        });
-    }
-
-    /// Index into the shard's queue of the next request to admit: FIFO for
-    /// static/continuous, high-priority-first (each class FIFO) under the
-    /// preempting scheduler.
-    fn next_admit_index(&self, s: usize) -> Option<usize> {
-        let queue = &self.shards[s].queue;
-        if queue.is_empty() {
-            return None;
+    /// Moves shard `s`'s waiting requests into free slots until either
+    /// runs out. The next request is the queue head for static/continuous,
+    /// the first high-priority one (each class FIFO) under the preempting
+    /// scheduler. A KV-warm request (completed [`KvTransfer::Copy`])
+    /// resumes decoding; everyone else (re-)prefills. The warmth flag is
+    /// one-shot: any later re-admission pays the re-prefill again.
+    fn fill_slots(&mut self, s: usize) {
+        let trace = self.trace;
+        while self.shards[s].resident.len() < self.cfg.max_slots {
+            let queue = &mut self.shards[s].queue;
+            let idx = match self.scheduler {
+                DecodeScheduler::ContinuousPreempt => queue
+                    .iter()
+                    .position(|&r| trace[r].priority == Priority::High)
+                    .unwrap_or(0),
+                DecodeScheduler::Static | DecodeScheduler::Continuous => 0,
+            };
+            let Some(req) = queue.remove(idx) else {
+                return;
+            };
+            let admit_seq = self.admit_seq;
+            self.admit_seq += 1;
+            let is_new = !self.kv_warm[req];
+            self.kv_warm[req] = false;
+            self.shards[s].resident.push(Slot {
+                req,
+                is_new,
+                admit_seq,
+            });
         }
-        if self.scheduler == DecodeScheduler::ContinuousPreempt {
-            if let Some(idx) = queue
-                .iter()
-                .position(|&r| self.trace[r].priority == Priority::High)
-            {
-                return Some(idx);
-            }
-        }
-        Some(0)
     }
 
     /// Deadline check of the preempting scheduler: while the earliest
@@ -757,21 +774,11 @@ impl DecodeCore<'_> {
         match self.scheduler {
             DecodeScheduler::Static => {
                 if self.shards[s].resident.is_empty() {
-                    while self.shards[s].resident.len() < self.cfg.max_slots {
-                        match self.next_admit_index(s) {
-                            Some(idx) => self.admit_at(s, idx),
-                            None => break,
-                        }
-                    }
+                    self.fill_slots(s);
                 }
             }
             DecodeScheduler::Continuous | DecodeScheduler::ContinuousPreempt => {
-                while self.shards[s].resident.len() < self.cfg.max_slots {
-                    match self.next_admit_index(s) {
-                        Some(idx) => self.admit_at(s, idx),
-                        None => break,
-                    }
-                }
+                self.fill_slots(s);
                 if self.scheduler == DecodeScheduler::ContinuousPreempt {
                     self.preempt_for_deadlines(s, now);
                 }
@@ -786,30 +793,30 @@ impl DecodeCore<'_> {
         // (padded), so `resident.len()` is the formed batch size and the
         // rigid engine keeps paying for it; `live` counts the sequences
         // that actually emit a token this iteration.
-        let mut lens = Vec::new();
-        for i in 0..self.shards[s].resident.len() {
-            let sl = self.shards[s].resident[i];
-            if sl.is_new {
-                // A shared-prefix cache hit discounts the prompt by the
-                // cached prefix (at least one fresh token always runs);
-                // skip == 0 prices exactly `prefill_len + emitted`.
-                let skip = self.prefill_skip[sl.req].min(self.trace[sl.req].prefill_len - 1);
-                lens.push(self.trace[sl.req].prefill_len - skip + self.emitted[sl.req]);
-                self.prefill_passes[sl.req] += 1;
-            }
+        let trace = self.trace;
+        self.lens.clear();
+        for sl in self.shards[s].resident.iter().filter(|sl| sl.is_new) {
+            // A shared-prefix cache hit discounts the prompt by the cached
+            // prefix (at least one fresh token always runs); skip == 0
+            // prices exactly `prefill_len + emitted`.
+            let req = &trace[sl.req];
+            let skip = self.prefill_skip[sl.req].min(req.prefill_len - 1);
+            self.lens
+                .push(req.prefill_len - skip + self.emitted[sl.req]);
+            self.prefill_passes[sl.req] += 1;
         }
         let size = self.shards[s].resident.len();
         let live = self.shards[s]
             .resident
             .iter()
-            .filter(|sl| self.emitted[sl.req] < self.trace[sl.req].output_len)
+            .filter(|sl| self.emitted[sl.req] < trace[sl.req].output_len)
             .count();
-        let old = size - lens.len();
-        lens.extend(std::iter::repeat_n(1, old));
-        let cost = if lens.len() == old {
+        let old = size - self.lens.len();
+        let cost = if self.lens.is_empty() {
             self.decode_cost(s, old) // pure-decode iteration: cached
         } else {
-            self.designs[s].batch_seconds(&lens, self.policy)
+            self.lens.extend(std::iter::repeat_n(1, old));
+            self.designs[s].batch_seconds(&self.lens, self.policy)
         } * self.slowdown[s];
         let done = now + cost;
         let sh = &mut self.shards[s];
@@ -833,13 +840,8 @@ impl DecodeCore<'_> {
                 size: live,
             });
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            done,
-            1,
-            DecodeEventKind::StepEnd { shard: s, epoch },
-        );
+        self.queue
+            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
     }
 
     /// Routes request `r` among accepting shards and queues it; returns
@@ -932,13 +934,7 @@ impl DecodeCore<'_> {
 
     /// Schedules a [`DecodeController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            2,
-            DecodeEventKind::Control,
-        );
+        self.queue.push(time, 2, DecodeEventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
@@ -1049,13 +1045,8 @@ impl DecodeCore<'_> {
                 .expect("stepping shard has a step record");
             self.step_log[rec_idx].completion_s = done;
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            done,
-            1,
-            DecodeEventKind::StepEnd { shard: s, epoch },
-        );
+        self.queue
+            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the
@@ -1063,13 +1054,7 @@ impl DecodeCore<'_> {
     /// Indistinguishable from a trace arrival when it pops, so it
     /// re-counts in `arrivals_seen` (a retry *is* offered load).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            0,
-            DecodeEventKind::Arrival(r),
-        );
+        self.queue.push_arrival(r, time);
     }
 
     /// Removes request `r` from the shard queue it is waiting in so a
@@ -1112,8 +1097,10 @@ impl DecodeCore<'_> {
             // values the exact step-log fold reduces.
             self.stream_makespan_s = self.stream_makespan_s.max(now);
         }
-        let residents: Vec<usize> = self.shards[s].resident.iter().map(|sl| sl.req).collect();
-        for r in residents {
+        // Taken out for the walk (and put back below) so the loop can
+        // update the shard without copying the resident list.
+        let mut resident = std::mem::take(&mut self.shards[s].resident);
+        for r in resident.iter().map(|sl| sl.req) {
             if self.emitted[r] >= self.trace[r].output_len {
                 continue; // padded slot in a static batch: no live token
             }
@@ -1148,23 +1135,22 @@ impl DecodeCore<'_> {
         let emitted = &self.emitted;
         let trace = self.trace;
         if self.scheduler == DecodeScheduler::Static {
-            if self.shards[s]
-                .resident
+            if resident
                 .iter()
                 .all(|sl| emitted[sl.req] >= trace[sl.req].output_len)
             {
-                self.shards[s].resident.clear();
+                resident.clear();
             }
         } else {
-            self.shards[s]
-                .resident
-                .retain(|sl| emitted[sl.req] < trace[sl.req].output_len);
+            resident.retain(|sl| emitted[sl.req] < trace[sl.req].output_len);
         }
+        self.shards[s].resident = resident;
     }
 }
 
 impl<'a> DecodeCore<'a> {
-    /// Validates the inputs and seeds the heap with every arrival.
+    /// Validates the inputs and opens the event queue over the trace
+    /// (arrivals are read off the trace as the run reaches them).
     ///
     /// # Panics
     ///
@@ -1206,17 +1192,6 @@ impl<'a> DecodeCore<'a> {
         );
 
         let n = trace.len();
-        let mut heap: BinaryHeap<Event<DecodeEventKind>> = BinaryHeap::with_capacity(n * 2);
-        let mut seq = 0u64;
-        for (r, req) in trace.iter().enumerate() {
-            push_event(
-                &mut heap,
-                &mut seq,
-                req.arrival_s,
-                0,
-                DecodeEventKind::Arrival(r),
-            );
-        }
         Self {
             designs: shards,
             trace,
@@ -1230,8 +1205,7 @@ impl<'a> DecodeCore<'a> {
             dead: vec![false; shards.len()],
             slowdown: vec![1.0; shards.len()],
             abandoned: 0,
-            heap,
-            seq,
+            queue: EventQueue::new(trace),
             admit_seq: 0,
             rr_next: 0,
             dispatch,
@@ -1253,6 +1227,8 @@ impl<'a> DecodeCore<'a> {
             itl_sketch: QuantileSketch::new(),
             high_ttft: QuantileSketch::new(),
             stream_makespan_s: 0.0,
+            touched: Vec::new(),
+            lens: Vec::new(),
         }
     }
 
@@ -1265,7 +1241,7 @@ impl<'a> DecodeCore<'a> {
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
     pub(crate) fn run<C: DecodeController>(&mut self, ctl: &mut C) {
-        while let Some(ev) = self.heap.pop() {
+        while let Some(ev) = self.queue.pop() {
             match ev.kind {
                 DecodeEventKind::Arrival(r) => {
                     // Admit ALL same-instant arrivals before any iteration
@@ -1273,24 +1249,21 @@ impl<'a> DecodeCore<'a> {
                     // instead of launching a singleton iteration.
                     self.arrivals_seen += 1;
                     ctl.on_arrival(self, r, ev.time);
-                    let mut touched = vec![self.route_request(r, ev.time)];
-                    while let Some(next) = self.heap.peek() {
-                        match next.kind {
-                            DecodeEventKind::Arrival(r2) if next.time == ev.time => {
-                                self.heap.pop();
-                                self.arrivals_seen += 1;
-                                ctl.on_arrival(self, r2, ev.time);
-                                let s = self.route_request(r2, ev.time);
-                                if !touched.contains(&s) {
-                                    touched.push(s);
-                                }
-                            }
-                            _ => break,
+                    let mut touched = std::mem::take(&mut self.touched);
+                    touched.clear();
+                    touched.push(self.route_request(r, ev.time));
+                    while let Some(r2) = self.queue.pop_arrival_at(ev.time) {
+                        self.arrivals_seen += 1;
+                        ctl.on_arrival(self, r2, ev.time);
+                        let s = self.route_request(r2, ev.time);
+                        if !touched.contains(&s) {
+                            touched.push(s);
                         }
                     }
-                    for s in touched {
+                    for &s in &touched {
                         self.start_iteration(s, ev.time);
                     }
+                    self.touched = touched;
                 }
                 DecodeEventKind::StepEnd { shard: s, epoch } => {
                     // Stale if the shard crashed or was re-priced after
@@ -1307,7 +1280,7 @@ impl<'a> DecodeCore<'a> {
         }
     }
 
-    /// Assembles the [`DecodeReport`] after the heap drained.
+    /// Assembles the [`DecodeReport`] after the event queue drained.
     ///
     /// Requests that never completed (timed out, lost to an unrecovered
     /// outage) are absent from the latency/TTFT populations, and their

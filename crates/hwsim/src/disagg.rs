@@ -233,6 +233,8 @@ impl PrefixCache {
         }
         self.misses += 1;
         if self.entries.len() >= self.capacity {
+            // At capacity (> 0) the cache is non-empty, so an LRU entry
+            // always exists.
             let lru = self
                 .entries
                 .iter()
@@ -242,10 +244,11 @@ impl PrefixCache {
                         .total_cmp(&b.last_used_s)
                         .then(a.lru_seq.cmp(&b.lru_seq))
                 })
-                .map(|(i, _)| i)
-                .expect("non-empty cache at capacity");
-            self.entries.swap_remove(lru);
-            self.evictions += 1;
+                .map(|(i, _)| i);
+            if let Some(lru) = lru {
+                self.entries.swap_remove(lru);
+                self.evictions += 1;
+            }
         }
         self.entries.push(CacheEntry {
             group: g.group,
@@ -282,6 +285,13 @@ pub(crate) struct DisaggController<'a> {
     transfer_time_s: f64,
     transferred_tokens: u64,
     tokens_saved: u64,
+    /// Routable decode-pool mask, rebuilt in place by
+    /// `refresh_decode_mask`.
+    mask: Vec<bool>,
+    /// Scratch buffers reused across events: shards a landing touched,
+    /// and the `(request, context)` pairs one step detached.
+    touched: Vec<usize>,
+    detached: Vec<(usize, usize)>,
 }
 
 impl<'a> DisaggController<'a> {
@@ -312,14 +322,19 @@ impl<'a> DisaggController<'a> {
             transfer_time_s: 0.0,
             transferred_tokens: 0,
             tokens_saved: 0,
+            mask: Vec::new(),
+            touched: Vec::new(),
+            detached: Vec::new(),
         }
     }
 
-    /// Routable decode-pool mask right now (open, alive).
-    fn decode_mask(&self, core: &DecodeCore<'_>) -> Vec<bool> {
-        (0..self.open.len())
-            .map(|s| self.open[s] && !core.dead[s])
-            .collect()
+    /// Rebuilds `mask` as the routable decode pool right now (open,
+    /// alive) and returns whether any decode shard is routable.
+    fn refresh_decode_mask(&mut self, core: &DecodeCore<'_>) -> bool {
+        self.mask.clear();
+        self.mask
+            .extend(self.open.iter().zip(&core.dead).map(|(&o, &d)| o && !d));
+        self.mask.contains(&true)
     }
 
     /// Lands every due handoff in the decode pool. If the whole decode
@@ -327,14 +342,20 @@ impl<'a> DisaggController<'a> {
     /// the accepting shards and re-prefills there — the KV copy has no
     /// destination, so its warmth is forfeit.
     fn land_due_handoffs(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        let mut touched = Vec::new();
+        if !self.pending.iter().any(|&(ready, _)| ready <= now) {
+            return;
+        }
+        // Routing never opens, closes, kills or revives a shard, so one
+        // mask serves every handoff landing now.
+        let routable = self.refresh_decode_mask(core);
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
         let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, r) = self.pending.remove(i);
-                let mask = self.decode_mask(core);
-                let s2 = if mask.iter().any(|&m| m) {
-                    core.route_request_into(r, now, &mask, &mut self.rr_decode)
+        while let Some(&(ready, r)) = self.pending.get(i) {
+            if ready <= now {
+                self.pending.remove(i);
+                let s2 = if routable {
+                    core.route_request_into(r, now, &self.mask, &mut self.rr_decode)
                 } else {
                     core.kv_warm[r] = false;
                     core.route_request(r, now)
@@ -346,9 +367,10 @@ impl<'a> DisaggController<'a> {
                 i += 1;
             }
         }
-        for s2 in touched {
+        for &s2 in &touched {
             core.start_iteration(s2, now);
         }
+        self.touched = touched;
     }
 
     /// Re-asserts the pool boundary: no decode shard ever accepts fresh
@@ -438,7 +460,8 @@ impl DecodeController for DisaggController<'_> {
         // emitted) but whose generation is not: its KV state ships to the
         // decode pool. A non-finite transfer latency keeps it decoding
         // here — exactly the colocated engine.
-        let mut detached: Vec<(usize, usize)> = Vec::new(); // (req, context)
+        let mut detached = std::mem::take(&mut self.detached); // (req, context)
+        detached.clear();
         {
             let emitted = &core.emitted;
             let trace = core.trace;
@@ -457,7 +480,7 @@ impl DecodeController for DisaggController<'_> {
                 false
             });
         }
-        for (r, context) in detached {
+        for &(r, context) in &detached {
             let latency = self.transfer.latency_s(context);
             self.transfers += 1;
             self.transfer_time_s += latency;
@@ -469,6 +492,7 @@ impl DecodeController for DisaggController<'_> {
             self.pending.push((ready, r));
             core.schedule_control(ready);
         }
+        self.detached = detached;
     }
 
     fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, _now: f64) {
@@ -824,18 +848,16 @@ impl<'a> DisaggAutoscaler<'a> {
         self.pools[pool].record(now, s, ScaleEventKind::RetireStart);
         core.shards[s].tick(now);
         let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
+        let routable = pool != 0 && self.inner.refresh_decode_mask(core);
         let mut touched = Vec::new();
         for r in waiting {
             let s2 = if pool == 0 {
                 core.route_request(r, now)
+            } else if routable {
+                core.route_request_into(r, now, &self.inner.mask, &mut self.inner.rr_decode)
             } else {
-                let mask = self.inner.decode_mask(core);
-                if mask.iter().any(|&m| m) {
-                    core.route_request_into(r, now, &mask, &mut self.inner.rr_decode)
-                } else {
-                    core.kv_warm[r] = false;
-                    core.route_request(r, now)
-                }
+                core.kv_warm[r] = false;
+                core.route_request(r, now)
             };
             if !touched.contains(&s2) {
                 touched.push(s2);

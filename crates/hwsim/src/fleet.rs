@@ -8,11 +8,13 @@
 //! is the fix for the batch-window stall the old serial batcher had (a full
 //! batch used to idle until the window elapsed).
 //!
-//! The engine is a classic discrete-event simulation: a priority queue of
+//! The engine is a classic discrete-event simulation: an [`EventQueue`] of
 //! arrival / window-close / batch-completion events ordered by time with
 //! deterministic tie-breaking, so every run is bit-reproducible for a given
-//! trace. [`crate::serving::simulate_serving`] is reimplemented as the
-//! 1-shard special case of this engine.
+//! trace. Arrivals are read off the sorted trace by a cursor; only events
+//! the run schedules itself sit in the heap.
+//! [`crate::serving::simulate_serving`] is reimplemented as the 1-shard
+//! special case of this engine.
 //!
 //! # Example
 //!
@@ -576,17 +578,37 @@ enum EventKind {
     Control,
 }
 
-/// Heap entry shared by the fleet and decode engines; ordered by time, then
-/// kind rank (arrivals before completions/step-ends before window closes,
-/// so same-instant arrivals join the closing batch exactly as the serial
-/// simulator admitted them), then insertion order. The kind payload never
-/// participates in the ordering.
+impl ArrivalKind for EventKind {
+    fn arrival(r: usize) -> Self {
+        EventKind::Arrival(r)
+    }
+
+    fn arrival_index(&self) -> Option<usize> {
+        match *self {
+            EventKind::Arrival(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// Entry of an [`EventQueue`], shared by the fleet and decode engines;
+/// ordered by time, then kind rank (arrivals before completions/step-ends
+/// before window closes, so same-instant arrivals join the closing batch
+/// exactly as the serial simulator admitted them), then insertion order.
+/// The kind payload never participates in the ordering. The order is
+/// reversed (`a > b` means `a` pops first) so a max-[`BinaryHeap`] pops
+/// the earliest event.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Event<K> {
-    pub(crate) time: f64,
-    pub(crate) rank: u8,
-    pub(crate) seq: u64,
-    pub(crate) kind: K,
+pub struct Event<K> {
+    /// Simulated time the event fires at, in seconds.
+    pub time: f64,
+    /// Same-instant priority; lower pops first. Arrivals are rank 0.
+    pub rank: u8,
+    /// Insertion order: trace arrival `r` has `seq == r`, run-time events
+    /// count up from the trace length.
+    pub seq: u64,
+    /// Engine-specific payload.
+    pub kind: K,
 }
 
 impl<K> PartialEq for Event<K> {
@@ -605,7 +627,6 @@ impl<K> PartialOrd for Event<K> {
 
 impl<K> Ord for Event<K> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop the earliest event.
         let fwd = self
             .time
             .total_cmp(&other.time)
@@ -615,21 +636,126 @@ impl<K> Ord for Event<K> {
     }
 }
 
-/// Pushes an event and bumps the insertion-order tie-breaker.
-pub(crate) fn push_event<K>(
-    heap: &mut BinaryHeap<Event<K>>,
-    seq: &mut u64,
-    time: f64,
-    rank: u8,
-    kind: K,
-) {
-    heap.push(Event {
-        time,
-        rank,
-        seq: *seq,
-        kind,
-    });
-    *seq += 1;
+/// A trace entry with an arrival time — what an [`EventQueue`] walks.
+pub trait Arrival {
+    /// Arrival time in seconds since simulation start.
+    fn arrival_s(&self) -> f64;
+}
+
+impl Arrival for Request {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
+}
+
+/// An event payload with an arrival variant, so an [`EventQueue`] can
+/// synthesise trace arrivals and recognise scheduled ones.
+pub trait ArrivalKind: Copy {
+    /// The payload of request `r`'s arrival.
+    fn arrival(r: usize) -> Self;
+    /// The request index if this payload is an arrival.
+    fn arrival_index(&self) -> Option<usize>;
+}
+
+/// The engines' pending-event set: a cursor over the arrival-sorted trace
+/// merged with a [`BinaryHeap`] of the events scheduled at run time (batch
+/// completions, step ends, window closes, control callbacks and re-entered
+/// arrivals).
+///
+/// Trace arrival `r` carries the implied key `(arrival_s, rank 0, seq r)`
+/// and run-time events count `seq` up from `trace.len()`, so every pop
+/// takes the smaller of the cursor head and the heap top under [`Event`]'s
+/// order. The pop sequence is therefore exactly that of one heap preloaded
+/// with every arrival, while the heap only ever holds what the run itself
+/// scheduled: a few events per shard instead of the whole workload.
+pub struct EventQueue<'a, T, K> {
+    trace: &'a [T],
+    /// Index of the first trace arrival not yet popped.
+    next: usize,
+    heap: BinaryHeap<Event<K>>,
+    seq: u64,
+}
+
+impl<'a, T: Arrival, K: ArrivalKind> EventQueue<'a, T, K> {
+    /// A queue holding every arrival of `trace`, which must be sorted by
+    /// arrival time (the engines assert it).
+    pub fn new(trace: &'a [T]) -> Self {
+        Self {
+            trace,
+            next: 0,
+            heap: BinaryHeap::new(),
+            seq: trace.len() as u64,
+        }
+    }
+
+    /// Pending events: the run-time heap plus the unconsumed trace arrivals.
+    pub fn len(&self) -> usize {
+        self.heap.len() + (self.trace.len() - self.next)
+    }
+
+    /// `true` once every trace arrival and scheduled event has popped.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Schedules `kind` at `time` with same-instant priority `rank`.
+    pub fn push(&mut self, time: f64, rank: u8, kind: K) {
+        self.heap.push(Event {
+            time,
+            rank,
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
+    }
+
+    /// Re-enters request `r` as an arrival at `time` (client retries,
+    /// orphaned work); it pops like a trace arrival at that instant.
+    pub fn push_arrival(&mut self, r: usize, time: f64) {
+        self.push(time, 0, K::arrival(r));
+    }
+
+    /// The cursor head as an event.
+    fn next_arrival(&self) -> Option<Event<K>> {
+        self.trace.get(self.next).map(|req| Event {
+            time: req.arrival_s(),
+            rank: 0,
+            seq: self.next as u64,
+            kind: K::arrival(self.next),
+        })
+    }
+
+    /// The event [`EventQueue::pop`] would return, without removing it.
+    pub fn peek(&self) -> Option<Event<K>> {
+        match (self.next_arrival(), self.heap.peek()) {
+            (Some(a), Some(h)) if *h > a => Some(*h),
+            (Some(a), _) => Some(a),
+            (None, h) => h.copied(),
+        }
+    }
+
+    /// Removes and returns the earliest pending event.
+    pub fn pop(&mut self) -> Option<Event<K>> {
+        let arrival = self.next_arrival();
+        match (arrival, self.heap.peek()) {
+            (Some(a), Some(h)) if *h > a => self.heap.pop(),
+            (Some(a), _) => {
+                self.next += 1;
+                Some(a)
+            }
+            (None, _) => self.heap.pop(),
+        }
+    }
+
+    /// Pops the next event if it is an arrival at exactly `now` and
+    /// returns its request — how the engines admit a same-instant burst
+    /// before any dispatch decision.
+    pub fn pop_arrival_at(&mut self, now: f64) -> Option<usize> {
+        let ev = self.peek()?;
+        let r = ev.kind.arrival_index().filter(|_| ev.time == now)?;
+        self.pop();
+        Some(r)
+    }
 }
 
 pub(crate) struct ShardState {
@@ -725,7 +851,7 @@ impl FleetController for NullController {}
 /// The fleet engine's mutable core, shared by [`simulate_fleet`] (fixed
 /// membership, no control events) and
 /// [`crate::autoscale::simulate_autoscale`] (runtime shard join/retire):
-/// per-shard queues, the event heap, and dispatch bookkeeping.
+/// per-shard queues, the event queue, and dispatch bookkeeping.
 ///
 /// `accepting[s]` gates *routing only* — a shard that stops accepting
 /// still drains its own queue through the normal window/cap machinery,
@@ -754,8 +880,7 @@ pub(crate) struct FleetCore<'a> {
     /// an exhausted retry budget). Termination and conservation checks
     /// count `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    heap: BinaryHeap<Event<EventKind>>,
-    seq: u64,
+    queue: EventQueue<'a, Request, EventKind>,
     rr_next: usize,
     pub(crate) completion_s: Vec<f64>,
     /// Trace arrivals processed so far — the RNG-free, wall-clock-free
@@ -773,17 +898,23 @@ pub(crate) struct FleetCore<'a> {
     /// Running max of valid completion-event times — the streaming
     /// replacement for folding over the batch log.
     stream_makespan_s: f64,
-    /// Events popped off the heap (all modes; cheap counter for
+    /// Events popped off the queue (all modes; cheap counter for
     /// events/second scaling benches).
     pub(crate) events_processed: u64,
-    /// Peak event-heap population — the dominant transient allocation of
-    /// a run, tracked engine-side because the workspace forbids a
-    /// counting global allocator (`unsafe_code = "forbid"`).
+    /// Peak pending events (run-time heap + unconsumed trace arrivals),
+    /// tracked engine-side because the workspace forbids a counting
+    /// global allocator (`unsafe_code = "forbid"`).
     pub(crate) peak_heap_events: usize,
+    /// Shards a same-instant arrival burst routed to, kept across events
+    /// so the loop reuses one allocation.
+    touched: Vec<usize>,
+    /// Batch lengths of the dispatch being priced, reused likewise.
+    lengths: Vec<usize>,
 }
 
 impl<'a> FleetCore<'a> {
-    /// Validates the inputs and seeds the heap with every arrival.
+    /// Validates the inputs and opens the event queue over the trace
+    /// (arrivals are read off the trace as the run reaches them).
     ///
     /// # Panics
     ///
@@ -818,11 +949,6 @@ impl<'a> FleetCore<'a> {
             "at least one shard must accept work"
         );
 
-        let mut heap: BinaryHeap<Event<EventKind>> = BinaryHeap::with_capacity(trace.len() * 2);
-        let mut seq = 0u64;
-        for (r, req) in trace.iter().enumerate() {
-            push_event(&mut heap, &mut seq, req.arrival_s, 0, EventKind::Arrival(r));
-        }
         Self {
             shards,
             trace,
@@ -835,8 +961,7 @@ impl<'a> FleetCore<'a> {
             slowdown: vec![1.0; shards.len()],
             parked: Vec::new(),
             abandoned: 0,
-            heap,
-            seq,
+            queue: EventQueue::new(trace),
             rr_next: 0,
             completion_s: vec![f64::NAN; trace.len()],
             arrivals_seen: 0,
@@ -846,6 +971,8 @@ impl<'a> FleetCore<'a> {
             stream_makespan_s: 0.0,
             events_processed: 0,
             peak_heap_events: 0,
+            touched: Vec::new(),
+            lengths: Vec::new(),
         }
     }
 
@@ -858,7 +985,7 @@ impl<'a> FleetCore<'a> {
 
     /// Schedules a [`FleetController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        push_event(&mut self.heap, &mut self.seq, time, 3, EventKind::Control);
+        self.queue.push(time, 3, EventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
@@ -908,13 +1035,12 @@ impl<'a> FleetCore<'a> {
         if self.state[s].queue.len() >= self.cfg.max_batch || now >= window_close {
             let st = &mut self.state[s];
             let take = self.cfg.max_batch.min(st.queue.len());
-            let lengths: Vec<usize> = st
-                .queue
-                .iter()
-                .take(take)
-                .map(|&r| self.trace[r].len)
-                .collect();
-            let service = self.shards[s].batch_seconds(&lengths, self.policy) * self.slowdown[s];
+            let trace = self.trace;
+            self.lengths.clear();
+            self.lengths
+                .extend(st.queue.iter().take(take).map(|&r| trace[r].len));
+            let service =
+                self.shards[s].batch_seconds(&self.lengths, self.policy) * self.slowdown[s];
             let completion = now + service;
             for _ in 0..take {
                 let r = st.queue.pop_front().expect("counted above");
@@ -937,22 +1063,12 @@ impl<'a> FleetCore<'a> {
                     size: take,
                 });
             }
-            push_event(
-                &mut self.heap,
-                &mut self.seq,
-                completion,
-                1,
-                EventKind::Completion { shard: s, epoch },
-            );
+            self.queue
+                .push(completion, 1, EventKind::Completion { shard: s, epoch });
         } else if self.state[s].window_scheduled_for != Some(head) {
             self.state[s].window_scheduled_for = Some(head);
-            push_event(
-                &mut self.heap,
-                &mut self.seq,
-                window_close,
-                2,
-                EventKind::WindowClose { shard: s, head },
-            );
+            self.queue
+                .push(window_close, 2, EventKind::WindowClose { shard: s, head });
         }
     }
 
@@ -1049,13 +1165,8 @@ impl<'a> FleetCore<'a> {
                 rec.completion_s = completion;
             }
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            completion,
-            1,
-            EventKind::Completion { shard: s, epoch },
-        );
+        self.queue
+            .push(completion, 1, EventKind::Completion { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the re-entry
@@ -1063,13 +1174,7 @@ impl<'a> FleetCore<'a> {
     /// trace arrival when it pops, so it re-counts in `arrivals_seen`
     /// (a retry *is* offered load, and forecasters should see it).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            0,
-            EventKind::Arrival(r),
-        );
+        self.queue.push_arrival(r, time);
     }
 
     /// Removes request `r` from wherever it is waiting (parked or queued)
@@ -1098,8 +1203,8 @@ impl<'a> FleetCore<'a> {
     /// Runs the event loop to completion, calling `ctl`'s hooks.
     pub(crate) fn run<C: FleetController>(&mut self, ctl: &mut C) {
         loop {
-            self.peak_heap_events = self.peak_heap_events.max(self.heap.len());
-            let Some(ev) = self.heap.pop() else { break };
+            self.peak_heap_events = self.peak_heap_events.max(self.queue.len());
+            let Some(ev) = self.queue.pop() else { break };
             self.events_processed += 1;
             let now = ev.time;
             match ev.kind {
@@ -1107,32 +1212,25 @@ impl<'a> FleetCore<'a> {
                     // Admit ALL same-instant arrivals before any dispatch
                     // decision, so a zero (or exactly-elapsed) window can't
                     // split a simultaneous burst that the serial batcher
-                    // would have admitted into one batch. Arrival events
-                    // are pushed in trace order, so ties are contiguous in
-                    // pop order.
+                    // would have admitted into one batch. Arrivals pop in
+                    // trace order, so ties are contiguous in pop order.
                     self.arrivals_seen += 1;
-                    let mut touched = Vec::new();
-                    if let Some(s) = self.admit(r, now) {
-                        touched.push(s);
-                    }
-                    while let Some(next) = self.heap.peek() {
-                        match next.kind {
-                            EventKind::Arrival(r2) if next.time == now => {
-                                self.heap.pop();
-                                self.events_processed += 1;
-                                self.arrivals_seen += 1;
-                                if let Some(s) = self.admit(r2, now) {
-                                    if !touched.contains(&s) {
-                                        touched.push(s);
-                                    }
-                                }
+                    let mut touched = std::mem::take(&mut self.touched);
+                    touched.clear();
+                    touched.extend(self.admit(r, now));
+                    while let Some(r2) = self.queue.pop_arrival_at(now) {
+                        self.events_processed += 1;
+                        self.arrivals_seen += 1;
+                        if let Some(s) = self.admit(r2, now) {
+                            if !touched.contains(&s) {
+                                touched.push(s);
                             }
-                            _ => break,
                         }
                     }
-                    for s in touched {
+                    for &s in &touched {
                         self.try_dispatch(s, now);
                     }
+                    self.touched = touched;
                 }
                 EventKind::Completion { shard: s, epoch } => {
                     // Stale if the shard crashed or was re-priced after
@@ -1169,7 +1267,7 @@ impl<'a> FleetCore<'a> {
         }
     }
 
-    /// Assembles the [`FleetReport`] after the heap drained.
+    /// Assembles the [`FleetReport`] after the event queue drained.
     ///
     /// Requests that never completed (timed out, lost to an unrecovered
     /// outage) are simply absent from the latency population: the report
@@ -1321,10 +1419,12 @@ pub fn simulate_fleet_mode(
 /// off the table and peak memory is tracked structurally instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetRunStats {
-    /// Events popped off the heap (arrivals, completions, window closes,
-    /// control callbacks).
+    /// Events popped off the event queue (arrivals, completions, window
+    /// closes, control callbacks).
     pub events_processed: u64,
-    /// Peak event-heap population — the dominant transient allocation.
+    /// Peak pending events: the run-time heap plus the trace arrivals not
+    /// yet consumed — the population one heap holding every arrival would
+    /// peak at.
     pub peak_heap_events: usize,
     /// Per-request latency samples retained at report time (0 under
     /// [`ReportMode::Streaming`]).
@@ -1335,9 +1435,12 @@ pub struct FleetRunStats {
 }
 
 impl FleetRunStats {
-    /// Rough peak-allocation proxy in bytes: the event heap's peak plus
-    /// the retained report populations. Deterministic (no allocator
-    /// introspection), so scaling trajectories can compare it PR-over-PR.
+    /// Rough peak-allocation proxy in bytes: peak pending events priced at
+    /// one heap entry each, plus the retained report populations. An upper
+    /// bound on event storage, not the heap's allocation: unconsumed trace
+    /// arrivals cost nothing beyond the trace itself. Deterministic (no
+    /// allocator introspection), so scaling trajectories can compare it
+    /// across versions.
     pub fn peak_tracked_bytes(&self) -> u64 {
         let event = std::mem::size_of::<Event<EventKind>>() as u64;
         let f64s = std::mem::size_of::<f64>() as u64;
