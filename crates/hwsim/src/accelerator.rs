@@ -4,7 +4,8 @@
 //! Algorithm 1 (via `lat-core`) at the workload's average sequence length
 //! and balances the chip's DSP lanes across operators; `run_batch` then
 //! schedules a concrete batch through the coarse pipeline and reports
-//! throughput, utilization and energy.
+//! throughput, utilization and energy. [`ShardPricer`] prices batches for
+//! the serving engines from a per-shard memo of the same stage costs.
 //!
 //! ## Timing model
 //!
@@ -114,12 +115,8 @@ impl AcceleratorDesign {
 
     /// Compute cycles of stage `stage` for one sequence of `len` tokens.
     pub fn stage_compute_cycles(&self, stage: usize, len: usize) -> u64 {
-        self.alloc.stages()[stage].latency_cycles(
-            &self.graph,
-            len,
-            self.mode,
-            self.alloc.resource_model(),
-        )
+        self.stage(stage)
+            .latency_cycles(&self.graph, len, self.mode, self.alloc.resource_model())
     }
 
     /// Compute cycles attributable to the self-attention operators only
@@ -131,7 +128,7 @@ impl AcceleratorDesign {
     /// pre-selection fabric and elementwise units keep their fixed
     /// parallelism.
     pub fn stage_attention_cycles(&self, stage: usize, len: usize) -> u64 {
-        let st = &self.alloc.stages()[stage];
+        let st = self.stage(stage);
         let res = self.alloc.resource_model();
         // DSP lanes the attention operators own within this stage.
         let attn_dsp: u32 = st
@@ -160,35 +157,68 @@ impl AcceleratorDesign {
             .unwrap_or(0)
     }
 
-    /// HBM cycles of stage `stage` for one sequence of `len` tokens, with
-    /// weights amortized over `batch` sequences.
-    pub fn stage_memory_cycles(&self, stage: usize, len: usize, batch: usize) -> u64 {
+    /// HBM bytes of stage `stage` that a whole batch shares: the stage's
+    /// 8-bit weights, streamed from HBM once per layer.
+    pub fn stage_weight_bytes(&self, stage: usize) -> u64 {
         let d = self.cfg.hidden_dim as u64;
         let f = self.cfg.ffn_dim as u64;
-        let st = &self.alloc.stages()[stage];
-        let mut bytes = 0u64;
-        // Weight streaming (8-bit weights), once per layer, shared by batch.
-        let mut weight_bytes = 0u64;
-        for &kind in &st.ops {
-            weight_bytes += match kind {
+        self.stage(stage)
+            .ops
+            .iter()
+            .map(|kind| match kind {
                 OpKind::QkvLinear => 3 * d * d,
                 OpKind::OutLinear => d * d,
                 OpKind::Ffn1 => d * f,
                 OpKind::Ffn2 => f * d,
                 _ => 0,
-            };
-        }
-        bytes += weight_bytes / batch.max(1) as u64;
-        // Activations in and out of the stage (8-bit).
-        bytes += 2 * len as u64 * d;
-        // Top-k spill to / reload from HBM (index u16 + value u16 per pair).
+            })
+            .sum()
+    }
+
+    /// HBM bytes of stage `stage` that one sequence of `len` tokens moves
+    /// whatever the batch: its 8-bit activations in and out of the stage
+    /// and, under sparse attention, the top-k spill to / reload from HBM
+    /// (u16 index + u16 value per pair).
+    pub fn stage_stream_bytes(&self, stage: usize, len: usize) -> u64 {
+        let d = self.cfg.hidden_dim as u64;
+        let st = self.stage(stage);
+        let mut bytes = 2 * len as u64 * d;
         let k = self.mode.attended(len) as u64;
         let has_scores = st.ops.contains(&OpKind::AttnScores);
         let has_apply = st.ops.contains(&OpKind::AttnApply);
         if matches!(self.mode, AttentionMode::Sparse { .. }) && (has_scores || has_apply) {
             bytes += len as u64 * k * 4;
         }
-        crate::kernels::hbm_transfer_cycles(bytes, self.spec.hbm_bytes_per_cycle())
+        bytes
+    }
+
+    /// HBM cycles of stage `stage` for one sequence of `len` tokens, with
+    /// weights amortized over `batch` sequences.
+    pub fn stage_memory_cycles(&self, stage: usize, len: usize, batch: usize) -> u64 {
+        self.hbm_cycles(
+            self.weight_share(stage, batch),
+            self.stage_stream_bytes(stage, len),
+        )
+    }
+
+    /// One sequence's share of stage `stage`'s weight bytes in a batch of
+    /// `batch` sequences.
+    fn weight_share(&self, stage: usize, batch: usize) -> u64 {
+        self.stage_weight_bytes(stage) / batch.max(1) as u64
+    }
+
+    /// HBM cycles of one sequence's stage traffic: its weight share plus
+    /// the bytes it streams itself.
+    fn hbm_cycles(&self, weight_share: u64, stream_bytes: u64) -> u64 {
+        crate::kernels::hbm_transfer_cycles(
+            weight_share + stream_bytes,
+            self.spec.hbm_bytes_per_cycle(),
+        )
+    }
+
+    /// Stage `stage` of the allocation.
+    fn stage(&self, stage: usize) -> &lat_core::stage_alloc::Stage {
+        &self.alloc.stages()[stage]
     }
 
     /// Full stage time: compute and memory overlap, slower one wins.
@@ -390,6 +420,183 @@ impl StageTiming for DesignTiming<'_> {
     }
 }
 
+/// Prices batches on one design from a memo of its length-only stage
+/// costs: the serving engines' pricing path, one per shard.
+///
+/// A sequence's time in a stage is `max(compute, memory)` cycles (see the
+/// module's timing model). Compute depends on the length alone. Memory is
+/// the HBM time of the sequence's share of the stage weights (divided by
+/// the batch size) plus the bytes the sequence moves itself, which also
+/// depend on the length alone. The pricer derives the two length-only
+/// terms once per distinct length, the weight share once per stage and
+/// call, and runs the unchanged pipeline recurrence
+/// ([`batch_makespan`]) over the result. Every price is bit-identical to
+/// [`AcceleratorDesign::batch_seconds`] under the pricer's policy.
+///
+/// The memo is empty at construction. It is indexed by length and sized
+/// to the longest length priced so far; a length's row is derived the
+/// first time that length is priced. It lives beside the design rather
+/// than in it, so the design stays immutable and can be shared across
+/// threads.
+///
+/// ```
+/// use lat_core::pipeline::SchedulingPolicy;
+/// use lat_hwsim::accelerator::{AcceleratorDesign, ShardPricer};
+/// use lat_hwsim::spec::FpgaSpec;
+/// use lat_model::config::ModelConfig;
+/// use lat_model::graph::AttentionMode;
+///
+/// let design = AcceleratorDesign::new(
+///     &ModelConfig::tiny(),
+///     AttentionMode::paper_sparse(),
+///     FpgaSpec::alveo_u280(),
+///     64,
+/// );
+/// let policy = SchedulingPolicy::LengthAware;
+/// let mut pricer = ShardPricer::new(&design, policy);
+/// for batch in [&[64, 32, 16][..], &[80, 64], &[1, 1, 1]] {
+///     let memo = pricer.seconds(batch);
+///     assert_eq!(memo.to_bits(), design.batch_seconds(batch, policy).to_bits());
+/// }
+/// let decode = pricer.decode_seconds(3);
+/// assert_eq!(decode.to_bits(), design.batch_seconds(&[1, 1, 1], policy).to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct ShardPricer<'a> {
+    design: &'a AcceleratorDesign,
+    policy: SchedulingPolicy,
+    /// Compute cycles at `len * stages + stage`; valid where `known[len]`.
+    compute: Vec<u64>,
+    /// Batch-independent HBM bytes ([`AcceleratorDesign::stage_stream_bytes`]),
+    /// laid out and valid like `compute`.
+    stream: Vec<u64>,
+    /// Which lengths have their rows filled.
+    known: Vec<bool>,
+    /// Per-stage weight share of the batch being priced (reused scratch).
+    weight_share: Vec<u64>,
+    /// Seconds of an all-ones (pure-decode) batch, by batch size.
+    decode: Vec<Option<f64>>,
+}
+
+impl<'a> ShardPricer<'a> {
+    /// An empty pricer for `design` under `policy`.
+    pub fn new(design: &'a AcceleratorDesign, policy: SchedulingPolicy) -> Self {
+        Self {
+            design,
+            policy,
+            compute: Vec::new(),
+            stream: Vec::new(),
+            known: Vec::new(),
+            weight_share: Vec::new(),
+            decode: Vec::new(),
+        }
+    }
+
+    /// The batch's service time: bit-equal to
+    /// `design.batch_seconds(lengths, policy)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`AcceleratorDesign::batch_seconds`]: on an empty batch or a
+    /// micro-batch size of 0.
+    pub fn seconds(&mut self, lengths: &[usize]) -> f64 {
+        let design = self.design;
+        let stages = design.alloc.num_stages();
+        for &len in lengths {
+            self.remember(len, stages);
+        }
+        self.weight_share.clear();
+        self.weight_share
+            .extend((0..stages).map(|stage| design.weight_share(stage, lengths.len())));
+        let timing = MemoTiming {
+            design,
+            stages,
+            batch: lengths.len(),
+            compute: &self.compute,
+            stream: &self.stream,
+            weight_share: &self.weight_share,
+        };
+        let makespan = batch_makespan(lengths, design.cfg.layers, &timing, self.policy);
+        design.spec.cycles_to_seconds(makespan)
+    }
+
+    /// Seconds of a pure-decode iteration over `batch` resident sequences
+    /// (`batch` one-token sequences), memoised per batch size.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardPricer::seconds`]: if `batch == 0`.
+    pub fn decode_seconds(&mut self, batch: usize) -> f64 {
+        if let Some(&Some(cost)) = self.decode.get(batch) {
+            return cost;
+        }
+        let cost = self.seconds(&vec![1; batch]);
+        if self.decode.len() <= batch {
+            self.decode.resize(batch + 1, None);
+        }
+        if let Some(slot) = self.decode.get_mut(batch) {
+            *slot = Some(cost);
+        }
+        cost
+    }
+
+    /// Fills the memo row of `len` unless it is already known.
+    fn remember(&mut self, len: usize, stages: usize) {
+        if self.known.get(len) == Some(&true) {
+            return;
+        }
+        if self.known.len() <= len {
+            self.known.resize(len + 1, false);
+            self.compute.resize((len + 1) * stages, 0);
+            self.stream.resize((len + 1) * stages, 0);
+        }
+        let row = len * stages..(len + 1) * stages;
+        if let (Some(compute), Some(stream)) =
+            (self.compute.get_mut(row.clone()), self.stream.get_mut(row))
+        {
+            for (stage, (c, b)) in compute.iter_mut().zip(stream).enumerate() {
+                *c = self.design.stage_compute_cycles(stage, len);
+                *b = self.design.stage_stream_bytes(stage, len);
+            }
+        }
+        if let Some(known) = self.known.get_mut(len) {
+            *known = true;
+        }
+    }
+}
+
+/// A [`StageTiming`] view of a [`ShardPricer`]'s memo for one batch.
+struct MemoTiming<'p> {
+    design: &'p AcceleratorDesign,
+    stages: usize,
+    batch: usize,
+    compute: &'p [u64],
+    stream: &'p [u64],
+    weight_share: &'p [u64],
+}
+
+impl StageTiming for MemoTiming<'_> {
+    fn num_stages(&self) -> usize {
+        self.stages
+    }
+
+    fn stage_cycles(&self, stage: usize, len: usize) -> u64 {
+        let at = len * self.stages + stage;
+        match (
+            self.compute.get(at),
+            self.stream.get(at),
+            self.weight_share.get(stage),
+        ) {
+            (Some(&compute), Some(&stream), Some(&share)) => {
+                compute.max(self.design.hbm_cycles(share, stream))
+            }
+            // Every priced length was remembered first; a length outside
+            // the memo is priced directly, never guessed.
+            _ => self.design.stage_cycles(stage, len, self.batch),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,6 +741,28 @@ mod tests {
             let expect_ops = &d.allocation().stages()[b.stage].ops;
             assert_eq!(b.ops.len(), expect_ops.len());
         }
+    }
+
+    #[test]
+    fn pricer_memo_starts_empty_and_grows_to_the_longest_length() {
+        let d = paper_design();
+        let stages = d.allocation().num_stages();
+        let mut p = ShardPricer::new(&d, SchedulingPolicy::LengthAware);
+        assert!(p.known.is_empty() && p.compute.is_empty() && p.stream.is_empty());
+        assert!(p.decode.is_empty());
+        p.seconds(&[64, 32, 64]);
+        assert_eq!(p.known.len(), 65);
+        assert_eq!(p.known.iter().filter(|&&k| k).count(), 2);
+        // Shorter lengths fill their rows without growing the memo.
+        p.seconds(&[16, 64]);
+        assert_eq!(p.known.len(), 65);
+        assert_eq!(p.known.iter().filter(|&&k| k).count(), 3);
+        p.seconds(&[200]);
+        assert_eq!(p.known.len(), 201);
+        assert_eq!(p.compute.len(), 201 * stages);
+        assert_eq!(p.stream.len(), 201 * stages);
+        p.decode_seconds(4);
+        assert_eq!(p.decode.len(), 5);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! priced exactly as today's encoder batch; the first output token falls
 //! out of that pass) and already-resident requests contribute one token
 //! each (decode, priced as 1-token members of the same batch). A single
-//! `batch_seconds(contexts ++ [1; decoding])` prices the whole iteration, so
+//! `batch_seconds(contexts ++ [1; decoding])` prices the whole iteration
+//! (through the shard's [`ShardPricer`], which memoises it bit-exactly), so
 //! HBM weight streaming is amortized across prefill and decode members
 //! alike — the physical reason iteration-level batching is cheap to admit
 //! into. Every resident emits exactly one token per iteration. With
@@ -105,7 +106,7 @@
 //! );
 //! ```
 
-use crate::accelerator::AcceleratorDesign;
+use crate::accelerator::{AcceleratorDesign, ShardPricer};
 use crate::fleet::{
     route, Arrival, ArrivalKind, BatchRecord, DispatchPolicy, EventQueue, FleetReport, RateProfile,
     ShardReport,
@@ -461,7 +462,10 @@ pub(crate) struct Slot {
     admit_seq: u64,
 }
 
-pub(crate) struct DecodeShard {
+pub(crate) struct DecodeShard<'a> {
+    /// Prices this shard's iterations: prefill-bearing ones memoised per
+    /// length, pure-decode ones per resident count.
+    pricer: ShardPricer<'a>,
     pub(crate) queue: VecDeque<usize>,
     pub(crate) resident: Vec<Slot>,
     /// An iteration is in flight (its `StepEnd` event is scheduled).
@@ -491,14 +495,12 @@ pub(crate) struct DecodeShard {
     queue_integral: f64,
     max_queue_depth: usize,
     last_event_s: f64,
-    /// Decode-iteration cost per resident count, computed once (index =
-    /// batch size).
-    decode_cost_cache: Vec<Option<f64>>,
 }
 
-impl DecodeShard {
-    fn new(max_slots: usize) -> Self {
+impl<'a> DecodeShard<'a> {
+    fn new(design: &'a AcceleratorDesign, policy: SchedulingPolicy) -> Self {
         Self {
+            pricer: ShardPricer::new(design, policy),
             queue: VecDeque::new(),
             resident: Vec::new(),
             stepping: false,
@@ -515,7 +517,6 @@ impl DecodeShard {
             queue_integral: 0.0,
             max_queue_depth: 0,
             last_event_s: 0.0,
-            decode_cost_cache: vec![None; max_slots + 1],
         }
     }
 
@@ -600,10 +601,9 @@ impl DecodeController for NullDecodeController {}
 pub(crate) struct DecodeCore<'a> {
     designs: &'a [AcceleratorDesign],
     pub(crate) trace: &'a [DecodeRequest],
-    policy: SchedulingPolicy,
     scheduler: DecodeScheduler,
     cfg: &'a DecodeConfig,
-    pub(crate) shards: Vec<DecodeShard>,
+    pub(crate) shards: Vec<DecodeShard<'a>>,
     pub(crate) accepting: Vec<bool>,
     /// Crashed shards ([`DecodeCore::crash_shard`]): routing skips them
     /// and `start_iteration` refuses to launch on them until revived.
@@ -671,14 +671,9 @@ pub(crate) struct DecodeCore<'a> {
 impl DecodeCore<'_> {
     /// Decode-iteration cost for `batch` resident sequences: a
     /// `batch`-sequence 1-token run through the shard's pipeline, cached
-    /// per batch size.
+    /// per batch size by the shard's pricer.
     fn decode_cost(&mut self, s: usize, batch: usize) -> f64 {
-        if let Some(c) = self.shards[s].decode_cost_cache[batch] {
-            return c;
-        }
-        let c = self.designs[s].batch_seconds(&vec![1usize; batch], self.policy);
-        self.shards[s].decode_cost_cache[batch] = Some(c);
-        c
+        self.shards[s].pricer.decode_seconds(batch)
     }
 
     /// Moves shard `s`'s waiting requests into free slots until either
@@ -816,7 +811,7 @@ impl DecodeCore<'_> {
             self.decode_cost(s, old) // pure-decode iteration: cached
         } else {
             self.lens.extend(std::iter::repeat_n(1, old));
-            self.designs[s].batch_seconds(&self.lens, self.policy)
+            self.shards[s].pricer.seconds(&self.lens)
         } * self.slowdown[s];
         let done = now + cost;
         let sh = &mut self.shards[s];
@@ -1195,11 +1190,11 @@ impl<'a> DecodeCore<'a> {
         Self {
             designs: shards,
             trace,
-            policy,
             scheduler,
             cfg,
-            shards: (0..shards.len())
-                .map(|_| DecodeShard::new(cfg.max_slots))
+            shards: shards
+                .iter()
+                .map(|design| DecodeShard::new(design, policy))
                 .collect(),
             accepting,
             dead: vec![false; shards.len()],

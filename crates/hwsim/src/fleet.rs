@@ -51,7 +51,7 @@
 //! assert!(report.p95_latency_s >= report.p50_latency_s);
 //! ```
 
-use crate::accelerator::AcceleratorDesign;
+use crate::accelerator::{AcceleratorDesign, ShardPricer};
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::QuantileSketch;
 pub use lat_core::sketch::ReportMode;
@@ -444,6 +444,10 @@ pub struct BatcherConfig {
     /// Maximum time a batch waits after its first queued request. The batch
     /// dispatches earlier if the cap fills or, when the shard is busy past
     /// the window, as soon as the shard frees up.
+    ///
+    /// Must be finite and non-negative; the engines reject anything else
+    /// before the run starts. An infinite window would strand a trailing
+    /// partial batch, which then never dispatches at a finite time.
     pub batch_window_s: f64,
     /// Maximum sequences per batch.
     pub max_batch: usize,
@@ -758,7 +762,9 @@ impl<'a, T: Arrival, K: ArrivalKind> EventQueue<'a, T, K> {
     }
 }
 
-pub(crate) struct ShardState {
+pub(crate) struct ShardState<'a> {
+    /// Prices this shard's batches (memoised per length).
+    pricer: ShardPricer<'a>,
     pub(crate) queue: VecDeque<usize>,
     pub(crate) busy: bool,
     /// Request indices of the in-flight batch (empty while idle). The
@@ -790,9 +796,10 @@ pub(crate) struct ShardState {
     pub(crate) window_scheduled_for: Option<usize>,
 }
 
-impl ShardState {
-    fn new() -> Self {
+impl<'a> ShardState<'a> {
+    fn new(design: &'a AcceleratorDesign, policy: SchedulingPolicy) -> Self {
         Self {
+            pricer: ShardPricer::new(design, policy),
             queue: VecDeque::new(),
             busy: false,
             inflight: Vec::new(),
@@ -859,10 +866,9 @@ impl FleetController for NullController {}
 pub(crate) struct FleetCore<'a> {
     pub(crate) shards: &'a [AcceleratorDesign],
     pub(crate) trace: &'a [Request],
-    policy: SchedulingPolicy,
     dispatch: DispatchPolicy,
     cfg: &'a BatcherConfig,
-    pub(crate) state: Vec<ShardState>,
+    pub(crate) state: Vec<ShardState<'a>>,
     pub(crate) accepting: Vec<bool>,
     /// Crashed shards ([`FleetCore::crash_shard`]): routing skips them and
     /// `try_dispatch` refuses to launch batches on them until revived.
@@ -919,8 +925,9 @@ impl<'a> FleetCore<'a> {
     /// # Panics
     ///
     /// Panics if `shards` or `trace` is empty, `cfg.max_batch == 0`,
-    /// `cfg.batch_window_s < 0`, the trace is unsorted / non-finite, or
-    /// `accepting` has the wrong length / no accepting shard.
+    /// `cfg.batch_window_s` is negative or not finite, the trace is
+    /// unsorted / non-finite, or `accepting` has the wrong length / no
+    /// accepting shard.
     pub(crate) fn new(
         shards: &'a [AcceleratorDesign],
         trace: &'a [Request],
@@ -933,6 +940,10 @@ impl<'a> FleetCore<'a> {
         assert!(!trace.is_empty(), "empty arrival trace");
         assert!(cfg.max_batch > 0, "max_batch must be >= 1");
         assert!(cfg.batch_window_s >= 0.0, "negative batch window");
+        assert!(
+            cfg.batch_window_s.is_finite(),
+            "batch window must be finite"
+        );
         assert!(
             trace
                 .iter()
@@ -952,10 +963,12 @@ impl<'a> FleetCore<'a> {
         Self {
             shards,
             trace,
-            policy,
             dispatch,
             cfg,
-            state: (0..shards.len()).map(|_| ShardState::new()).collect(),
+            state: shards
+                .iter()
+                .map(|design| ShardState::new(design, policy))
+                .collect(),
             accepting,
             dead: vec![false; shards.len()],
             slowdown: vec![1.0; shards.len()],
@@ -1039,8 +1052,7 @@ impl<'a> FleetCore<'a> {
             self.lengths.clear();
             self.lengths
                 .extend(st.queue.iter().take(take).map(|&r| trace[r].len));
-            let service =
-                self.shards[s].batch_seconds(&self.lengths, self.policy) * self.slowdown[s];
+            let service = st.pricer.seconds(&self.lengths) * self.slowdown[s];
             let completion = now + service;
             for _ in 0..take {
                 let r = st.queue.pop_front().expect("counted above");
@@ -1377,7 +1389,8 @@ impl<'a> FleetCore<'a> {
 /// # Panics
 ///
 /// Panics if `shards` or `trace` is empty, `cfg.max_batch == 0`,
-/// `cfg.batch_window_s < 0`, or the trace is unsorted / non-finite.
+/// `cfg.batch_window_s` is negative or not finite, or the trace is
+/// unsorted / non-finite.
 pub fn simulate_fleet(
     shards: &[AcceleratorDesign],
     trace: &[Request],
@@ -1833,6 +1846,26 @@ mod tests {
             SchedulingPolicy::LengthAware,
             DispatchPolicy::RoundRobin,
             &BatcherConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch window must be finite")]
+    fn infinite_batch_window_rejected_before_the_run() {
+        // 37 round-robin requests on 2 shards leave each a trailing
+        // partial batch; an infinite window would never dispatch it, and
+        // the run used to die mid-way on the conservation check instead.
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = poisson_trace(&DatasetSpec::rte(), 100.0, 37, 42);
+        let _ = simulate_fleet(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::RoundRobin,
+            &BatcherConfig {
+                batch_window_s: f64::INFINITY,
+                ..BatcherConfig::default()
+            },
         );
     }
 

@@ -57,27 +57,31 @@ pub fn summarize(xs: &[f64]) -> Option<Summary> {
 }
 
 /// `p`-th percentile (0.0–1.0) by nearest-rank on a copy of the data;
-/// `None` for an empty slice. NaN-bearing input never panics: `total_cmp`
-/// sorts NaNs after `+inf`, so they only surface at the top percentiles.
+/// `None` for an empty slice. NaN-bearing input never panics: under
+/// `total_cmp` NaNs rank after `+inf`, so they only surface at the top
+/// percentiles.
+///
+/// The rank is found by selection, not a full sort: nearest rank under a
+/// total order names one value to the bit, so the result is the sorted
+/// copy's element at that rank.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]`.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&p), "percentile {p} outside [0,1]");
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(rank(&sorted, p))
+    percentiles(xs, &[p]).and_then(|v| v.first().copied())
 }
 
-/// Several percentiles from a single sort — the report builders ask for
-/// p50/p95/p99 (and TTFT/ITL triples) of the same sample, and re-sorting
-/// per call dominated report construction. Each returned value is
-/// bit-identical to `percentile(xs, p)` for the corresponding `p`
-/// (same sort, same nearest-rank arithmetic); `None` for an empty slice.
+/// Several nearest-rank percentiles of one sample from a single working
+/// copy — the report builders ask for p50/p95/p99 (and TTFT/ITL triples)
+/// of the same sample. Each returned value is bit-identical to
+/// `percentile(xs, p)` for the corresponding `p`, in the order of `ps`
+/// (which need not be ascending); `None` for an empty slice.
+///
+/// The ranks are selected in ascending order, each within the part of the
+/// copy that the previous selection left at or above its rank, so the
+/// total cost is linear in `xs.len()` per distinct rank and no sort
+/// scratch buffer is allocated.
 ///
 /// # Panics
 ///
@@ -89,16 +93,30 @@ pub fn percentiles(xs: &[f64], ps: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() {
         return None;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(ps.iter().map(|&p| rank(&sorted, p)).collect())
+    let mut work = xs.to_vec();
+    let mut ranks: Vec<(usize, usize)> = ps
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (rank(xs.len(), p), i))
+        .collect();
+    ranks.sort_unstable();
+    let mut out = vec![0.0; ps.len()];
+    // Everything at or after `lo` is >= every value selected so far.
+    let mut lo = 0;
+    for (idx, i) in ranks {
+        if let (Some(rest), Some(slot)) = (work.get_mut(lo..), out.get_mut(i)) {
+            let (_, &mut v, _) = rest.select_nth_unstable_by(idx - lo, f64::total_cmp);
+            *slot = v;
+        }
+        lo = idx;
+    }
+    Some(out)
 }
 
-/// Nearest-rank lookup in already-sorted data (shared by [`percentile`]
-/// and [`percentiles`] so the two can never drift).
-fn rank(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
+/// Nearest-rank index of percentile `p` in a sample of `n` values (shared
+/// by [`percentile`] and [`percentiles`] so the two can never drift).
+fn rank(n: usize, p: f64) -> usize {
+    ((n as f64 - 1.0) * p).round() as usize
 }
 
 /// Fixed-width histogram over `[lo, hi)` with `bins` buckets; values

@@ -1,10 +1,12 @@
 //! The engines' seconds-only pricing path is pinned bit-equal to the full
 //! report: `AcceleratorDesign::batch_seconds(lengths, policy)` must have
 //! the same `to_bits()` as `run_batch(lengths, policy).seconds` for every
-//! policy, batch shape, design size and attention mode.
+//! policy, batch shape, design size and attention mode. The engines price
+//! through a per-shard `ShardPricer`, whose memo must in turn reproduce
+//! `batch_seconds` bit for bit however long it has been in use.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
-use lat_fpga::hwsim::accelerator::AcceleratorDesign;
+use lat_fpga::hwsim::accelerator::{AcceleratorDesign, ShardPricer};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
@@ -67,6 +69,55 @@ fn batch_seconds_matches_run_batch_on_every_size_and_shape() {
     }
 }
 
+/// One pricer per design and policy, reused across a long random sequence
+/// of batches of 1..=32 sequences. Every few batches one length reaches
+/// past the longest length seen so far (the memo must grow and fill the new
+/// row); the others mostly draw from below it (rows already filled, rows
+/// allocated by a growth but never filled, and fresh short lengths). Every
+/// call is also checked against the all-ones decode memo at a random batch
+/// size: on bert-base those batches are memory-bound, so the batch-size
+/// dependent weight share decides their price.
+#[test]
+fn shard_pricer_matches_batch_seconds_on_a_reused_memo() {
+    let mut rng = SplitMix64::new(0x5EED_0C0D);
+    for d in designs() {
+        for policy in POLICIES {
+            let mut pricer = ShardPricer::new(&d, policy);
+            let mut longest = 0usize;
+            for step in 0..120 {
+                let size = 1 + rng.next_below(32);
+                let mut lengths: Vec<usize> = (0..size)
+                    .map(|_| 1 + rng.next_below(longest.max(16)))
+                    .collect();
+                if step % 4 == 0 {
+                    let at = rng.next_below(size);
+                    lengths[at] = longest + 1 + rng.next_below(96);
+                }
+                longest = longest.max(lengths.iter().copied().max().unwrap_or(0));
+                let memo = pricer.seconds(&lengths);
+                let direct = d.batch_seconds(&lengths, policy);
+                assert_eq!(
+                    memo.to_bits(),
+                    direct.to_bits(),
+                    "{} {:?} {policy} step {step}: pricer {memo} != batch_seconds {direct} on {lengths:?}",
+                    d.config().name,
+                    d.mode(),
+                );
+                let batch = 1 + rng.next_below(32);
+                let memo = pricer.decode_seconds(batch);
+                let direct = d.batch_seconds(&vec![1; batch], policy);
+                assert_eq!(
+                    memo.to_bits(),
+                    direct.to_bits(),
+                    "{} {:?} {policy} step {step}: decode memo {memo} != batch_seconds {direct} at batch {batch}",
+                    d.config().name,
+                    d.mode(),
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -81,6 +132,29 @@ proptest! {
                 let full = d.run_batch(&lengths, policy).seconds;
                 let fast = d.batch_seconds(&lengths, policy);
                 prop_assert_eq!(fast.to_bits(), full.to_bits());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Arbitrary batch sequences through one pricer per design and policy.
+    #[test]
+    fn shard_pricer_matches_batch_seconds_on_arbitrary_sequences(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(1usize..1024, 1..33),
+            1..9,
+        ),
+    ) {
+        for d in designs() {
+            for policy in POLICIES {
+                let mut pricer = ShardPricer::new(&d, policy);
+                for lengths in &batches {
+                    let direct = d.batch_seconds(lengths, policy);
+                    prop_assert_eq!(pricer.seconds(lengths).to_bits(), direct.to_bits());
+                }
             }
         }
     }
