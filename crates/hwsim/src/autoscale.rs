@@ -34,6 +34,21 @@
 //! the event log shows a bare `Join`) instead of cold-launching a
 //! replacement.
 //!
+//! ## One scaler
+//!
+//! Every autoscaling decision in the crate — fleet, decode, and both
+//! pools of disaggregated serving — is made by one controller,
+//! `PoolScaler`. It owns the per-shard lifecycles and cost books, the
+//! [`ScaleEvent`] log, the policy evaluation and cooldown, warm-up joins,
+//! recall-before-launch, the never-retire-the-last-routable-shard guard
+//! and the pinned short-circuit. Colocated serving is its one-pool case;
+//! [`crate::disagg::simulate_disagg_autoscale`] is its two-pool case. It
+//! reaches an engine only through the crate-internal `ShardEngine` trait
+//! (open or close a shard for routing, re-route work, the engine's retire
+//! move, the idle test, the observation fields), so the per-engine
+//! semantics above — drain/evict, drain/migrate, queue-only vs
+//! queue + resident pressure — live in the trait's implementations.
+//!
 //! The [`AutoscaleReport`] extends the [`FleetReport`] with the cost side
 //! of the trade: shard-seconds (the cost proxy a deployment bills by), the
 //! scaling-event log, SLO attainment overall and per workload phase, and
@@ -124,15 +139,16 @@
 use crate::accelerator::AcceleratorDesign;
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
-    NullDecodeController,
 };
+use crate::disagg::PoolPolicy;
+use crate::failure::{slice_phases, slo_attainment};
 use crate::fleet::{
-    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController, Request,
+    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, Request,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// One entry of a [`ScalePolicy::Scheduled`] table: hold `shards` shards
 /// from `start_s` until the next entry's start.
@@ -531,8 +547,12 @@ impl PolicyEngine {
                 horizon_s,
                 ..
             } => {
-                let f = self.forecaster.as_ref().expect("predictive forecaster");
-                (f.forecast(now + horizon_s) / shard_capacity).ceil() as usize
+                // `new` builds the forecaster exactly for this policy.
+                let rate = self
+                    .forecaster
+                    .as_ref()
+                    .map_or(0.0, |f| f.forecast(now + horizon_s));
+                (rate / shard_capacity).ceil() as usize
             }
         };
         // The utilization window resets every tick, acted on or not.
@@ -723,86 +743,317 @@ pub struct AutoscaleReport {
     pub phases: Vec<PhaseSlo>,
 }
 
-/// Lifecycle of one shard under the autoscaler.
+/// Lifecycle of one shard under the [`PoolScaler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Lifecycle {
-    /// Cold: not paid, not dispatched to.
+enum Lifecycle {
+    /// Cold: not paid, not routed to.
     Off,
-    /// Launched, streaming weights; paid but not yet dispatched to.
+    /// Launched, streaming weights; paid but not yet routed to.
     Warming {
-        /// Time the shard finishes warming and joins dispatch.
+        /// Time the shard finishes warming and joins routing.
         ready_s: f64,
     },
-    /// In the dispatch set.
+    /// Open to routing.
     Active,
-    /// Out of the dispatch set, finishing residual work.
+    /// Closed to routing, finishing residual work.
     Retiring,
 }
 
-/// The policy-driven [`FleetController`]. `pub(crate)` so the failure
-/// layer ([`crate::failure`]) can wrap it inside its fault injector.
-pub(crate) struct Autoscaler<'a> {
-    cfg: &'a AutoscaleConfig,
-    max_shards: usize,
-    lifecycle: Vec<Lifecycle>,
-    /// Time each non-[`Lifecycle::Off`] shard started being paid for.
-    on_since: Vec<f64>,
-    shard_seconds: f64,
-    pub(crate) events: Vec<ScaleEvent>,
-    next_eval_s: f64,
-    last_action_s: f64,
-    engine: PolicyEngine,
-    /// Committed (non-Off) shards right now.
-    on_count: usize,
-    pub(crate) peak_on: usize,
-    on_integral: f64,
-    last_on_change_s: f64,
-    done_ticking: bool,
-    /// Shards currently crashed by the failure layer: never launch
-    /// targets until their [`ScaleEventKind::Recovered`] event.
-    failed: Vec<bool>,
+/// The moves the [`PoolScaler`] (and the fault injector of
+/// [`crate::failure`]) make on an engine — moves the cores already have:
+/// open or close a shard for routing, re-route work, the engine's retire
+/// move, the idle test, and the [`Observation`] fields. Implemented by
+/// `FleetCore`, `DecodeCore`, and the disaggregated decode pool's handoff
+/// mask ([`crate::disagg`]); every per-engine semantic lives behind it.
+pub(crate) trait ShardEngine {
+    /// Opens or closes shard `s` to routing.
+    fn set_open(&mut self, s: usize, open: bool);
+    /// Whether routing reaches shard `s` right now.
+    fn is_open(&self, s: usize) -> bool;
+    /// Routes `requests` among the open shards and kicks every shard
+    /// that received work. The fleet parks them when no shard is open; the
+    /// decode engine cannot park, so some shard must be open.
+    fn readmit(&mut self, requests: Vec<usize>, now: f64);
+    /// The engine's retire move on shard `s`, just closed to routing. The
+    /// fleet re-routes its queue only under `evict`
+    /// ([`RetirePolicy::Evict`]); the decode engine always re-routes its
+    /// waiting queue and, under `evict` ([`DecodeScaleDown::Migrate`]),
+    /// migrates its residents at once if the shard is idle. Returns the
+    /// residents migrated, or `None` when the migration must wait for the
+    /// in-flight iteration's boundary ([`ShardEngine::evict_residents`]).
+    fn retire_move(&mut self, s: usize, now: f64, evict: bool) -> Option<usize>;
+    /// Migrates shard `s`'s unfinished residents to the open shards (each
+    /// re-prefills its grown context) and returns how many moved; the
+    /// fleet holds no residents.
+    fn evict_residents(&mut self, s: usize, now: f64) -> usize;
+    /// Whether shard `s` is idle with nothing queued or resident.
+    fn idle(&self, s: usize) -> bool;
+    /// Backlog over `shards` in requests. The fleet counts its queues; the
+    /// decode engine counts waiting + KV-resident requests (slot-pool
+    /// pressure) — a held slot is as much a capacity commitment as a
+    /// queued request, and counting only the queue would read a
+    /// fully-occupied-but-unqueued fleet as idle and flap it down.
+    fn backlog(&self, shards: Range<usize>) -> usize;
+    /// Busy time of `shards` actually *elapsed* by `t`: a batch or
+    /// iteration charges its whole service at launch, so the in-flight
+    /// tail is clipped off. Window deltas of this integral are exact even
+    /// when service times span many evaluation windows.
+    fn busy_elapsed(&self, shards: Range<usize>, t: f64) -> f64;
+    /// Arrivals the pool has observed (the forecaster's input stream).
+    fn arrivals(&self) -> usize;
+    /// Schedules a control event at `t`.
+    fn control_at(&mut self, t: f64);
+    /// Whether every request completed or was given up on.
+    fn work_done(&self) -> bool;
 }
 
-impl<'a> Autoscaler<'a> {
-    pub(crate) fn new(cfg: &'a AutoscaleConfig, max_shards: usize) -> Self {
-        let lifecycle = (0..max_shards)
-            .map(|s| {
-                if s < cfg.initial_shards {
-                    Lifecycle::Active
-                } else {
-                    Lifecycle::Off
+/// Routes `requests` on the decode core, collecting the shards that
+/// received work (deduplicated, first-touch order) into `touched`.
+fn route_all(core: &mut DecodeCore<'_>, requests: Vec<usize>, now: f64, touched: &mut Vec<usize>) {
+    for r in requests {
+        let s = core.route_request(r, now);
+        if !touched.contains(&s) {
+            touched.push(s);
+        }
+    }
+}
+
+impl ShardEngine for FleetCore<'_> {
+    fn set_open(&mut self, s: usize, open: bool) {
+        self.accepting[s] = open;
+    }
+
+    fn is_open(&self, s: usize) -> bool {
+        self.accepting[s]
+    }
+
+    fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        let mut touched = Vec::new();
+        for r in requests {
+            if let Some(s) = self.admit(r, now) {
+                if !touched.contains(&s) {
+                    touched.push(s);
                 }
+            }
+        }
+        for s in touched {
+            self.try_dispatch(s, now);
+        }
+    }
+
+    fn retire_move(&mut self, s: usize, now: f64, evict: bool) -> Option<usize> {
+        if evict {
+            // The scaler keeps a survivor open during a retire, so the
+            // evicted work never parks.
+            let st = &mut self.state[s];
+            st.tick(now);
+            let evicted: Vec<usize> = st.queue.drain(..).collect();
+            st.window_scheduled_for = None;
+            self.readmit(evicted, now);
+        }
+        Some(0)
+    }
+
+    fn evict_residents(&mut self, _s: usize, _now: f64) -> usize {
+        0
+    }
+
+    fn idle(&self, s: usize) -> bool {
+        !self.state[s].busy && self.state[s].queue.is_empty()
+    }
+
+    fn backlog(&self, shards: Range<usize>) -> usize {
+        self.state[shards].iter().map(|st| st.queue.len()).sum()
+    }
+
+    fn busy_elapsed(&self, shards: Range<usize>, t: f64) -> f64 {
+        self.state[shards]
+            .iter()
+            .map(|st| {
+                st.busy_time_s
+                    - if st.busy {
+                        (st.busy_until_s - t).max(0.0)
+                    } else {
+                        0.0
+                    }
             })
-            .collect();
+            .sum()
+    }
+
+    fn arrivals(&self) -> usize {
+        self.arrivals_seen
+    }
+
+    fn control_at(&mut self, t: f64) {
+        self.schedule_control(t);
+    }
+
+    fn work_done(&self) -> bool {
+        self.completed() + self.abandoned == self.trace.len()
+    }
+}
+
+impl ShardEngine for DecodeCore<'_> {
+    fn set_open(&mut self, s: usize, open: bool) {
+        self.accepting[s] = open;
+    }
+
+    fn is_open(&self, s: usize) -> bool {
+        self.accepting[s]
+    }
+
+    fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        let mut touched = Vec::new();
+        route_all(self, requests, now, &mut touched);
+        for s in touched {
+            self.start_iteration(s, now);
+        }
+    }
+
+    fn retire_move(&mut self, s: usize, now: f64, evict: bool) -> Option<usize> {
+        self.shards[s].tick(now);
+        let waiting: Vec<usize> = self.shards[s].queue.drain(..).collect();
+        let mut touched = Vec::new();
+        route_all(self, waiting, now, &mut touched);
+        let migrated = match (evict, self.shards[s].stepping) {
+            (false, _) => Some(0),
+            (true, true) => None,
+            (true, false) => Some(self.evict_unfinished(s, now, &mut touched)),
+        };
+        for s2 in touched {
+            self.start_iteration(s2, now);
+        }
+        migrated
+    }
+
+    fn evict_residents(&mut self, s: usize, now: f64) -> usize {
+        let mut touched = Vec::new();
+        let moved = self.evict_unfinished(s, now, &mut touched);
+        for s2 in touched {
+            self.start_iteration(s2, now);
+        }
+        moved
+    }
+
+    fn idle(&self, s: usize) -> bool {
+        let sh = &self.shards[s];
+        !sh.stepping && sh.resident.is_empty() && sh.queue.is_empty()
+    }
+
+    fn backlog(&self, shards: Range<usize>) -> usize {
+        self.shards[shards]
+            .iter()
+            .map(|sh| sh.queue.len() + sh.resident.len())
+            .sum()
+    }
+
+    fn busy_elapsed(&self, shards: Range<usize>, t: f64) -> f64 {
+        self.shards[shards]
+            .iter()
+            .map(|sh| {
+                sh.busy_time_s
+                    - if sh.stepping {
+                        (sh.busy_until_s - t).max(0.0)
+                    } else {
+                        0.0
+                    }
+            })
+            .sum()
+    }
+
+    fn arrivals(&self) -> usize {
+        self.arrivals_seen
+    }
+
+    fn control_at(&mut self, t: f64) {
+        self.schedule_control(t);
+    }
+
+    fn work_done(&self) -> bool {
+        self.completed() + self.abandoned == self.trace.len()
+    }
+}
+
+/// One shard's books under the [`PoolScaler`].
+#[derive(Debug, Clone, Copy)]
+struct ShardBook {
+    life: Lifecycle,
+    /// Time the shard last started being paid for.
+    on_since: f64,
+    /// Crashed by the failure layer: never a launch target until its
+    /// [`ScaleEventKind::Recovered`] event.
+    failed: bool,
+}
+
+/// One pool of a [`PoolScaler`]: a contiguous shard range with its own
+/// [`PolicyEngine`], lifecycles, cost books, cooldown and event log.
+pub(crate) struct Pool {
+    shards: Range<usize>,
+    min_shards: usize,
+    /// Fleet [`RetirePolicy::Evict`] / decode [`DecodeScaleDown::Migrate`].
+    evict: bool,
+    warmup_s: f64,
+    cooldown_s: f64,
+    pinned: bool,
+    feedback: bool,
+    engine: PolicyEngine,
+    /// Indexed by fleet shard; entries below `shards.start` stay `Off`.
+    books: Vec<ShardBook>,
+    shard_seconds: f64,
+    /// Committed (non-Off) shards right now.
+    on_count: usize,
+    peak_on: usize,
+    on_integral: f64,
+    last_on_change_s: f64,
+    last_action_s: f64,
+    events: Vec<ScaleEvent>,
+    /// Residents migrated by evicting scale-downs.
+    pub(crate) migrations: usize,
+}
+
+impl Pool {
+    fn new(cfg: &PoolPolicy, shards: Range<usize>, evict: bool, timing: [f64; 3]) -> Self {
+        let [eval_interval_s, warmup_s, cooldown_s] = timing;
+        let initial = shards.start..shards.start + cfg.initial_shards;
         Self {
-            cfg,
-            max_shards,
-            lifecycle,
-            on_since: vec![0.0; max_shards],
+            min_shards: cfg.min_shards,
+            evict,
+            warmup_s,
+            cooldown_s,
+            pinned: matches!(cfg.policy, ScalePolicy::Pinned),
+            feedback: cfg.policy.is_feedback(),
+            engine: PolicyEngine::new(&cfg.policy, cfg.initial_shards, eval_interval_s),
+            books: (0..shards.end)
+                .map(|s| ShardBook {
+                    life: if initial.contains(&s) {
+                        Lifecycle::Active
+                    } else {
+                        Lifecycle::Off
+                    },
+                    on_since: 0.0,
+                    failed: false,
+                })
+                .collect(),
             shard_seconds: 0.0,
-            events: Vec::new(),
-            next_eval_s: cfg.eval_interval_s,
-            last_action_s: f64::NEG_INFINITY,
-            engine: PolicyEngine::new(&cfg.policy, cfg.initial_shards, cfg.eval_interval_s),
             on_count: cfg.initial_shards,
             peak_on: cfg.initial_shards,
             on_integral: 0.0,
             last_on_change_s: 0.0,
-            done_ticking: false,
-            failed: vec![false; max_shards],
+            last_action_s: f64::NEG_INFINITY,
+            events: Vec::new(),
+            migrations: 0,
+            shards,
         }
     }
 
     /// Closes the cost books at `makespan`: Σ paid shard-seconds
     /// (still-on shards charged to the makespan), time-averaged committed
-    /// shard count, and the committed peak. Shared by
-    /// [`simulate_autoscale`] and the failure layer's autoscaled entry
-    /// point so the two can never drift on billing arithmetic.
+    /// shard count, and the committed peak.
     pub(crate) fn close_books(&self, makespan: f64) -> (f64, f64, usize) {
         let mut shard_seconds = self.shard_seconds;
-        for s in 0..self.max_shards {
-            if self.lifecycle[s] != Lifecycle::Off {
-                shard_seconds += (makespan - self.on_since[s]).max(0.0);
+        for b in &self.books {
+            if b.life != Lifecycle::Off {
+                shard_seconds += (makespan - b.on_since).max(0.0);
             }
         }
         let end = makespan.max(self.last_on_change_s).max(1e-12);
@@ -827,158 +1078,128 @@ impl<'a> Autoscaler<'a> {
         });
     }
 
-    fn accepting_count(&self, core: &FleetCore<'_>) -> usize {
-        core.accepting.iter().filter(|&&a| a).count()
-    }
-
     /// Shards committed *going forward* — active or warming, but not
     /// retiring (those leave as soon as they drain). Scaling decisions
     /// compare targets against this count, so in-progress drains can't
-    /// stack further retires and push the surviving fleet below
+    /// stack further retires and push the surviving pool below
     /// `min_shards`.
-    fn staying_count(&self) -> usize {
-        self.lifecycle
+    fn staying(&self) -> usize {
+        self.books
             .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
+            .filter(|b| matches!(b.life, Lifecycle::Active | Lifecycle::Warming { .. }))
             .count()
     }
 
-    /// Fleet busy time actually *elapsed* by `t`: `busy_time_s` charges a
-    /// batch's whole service at dispatch, so clip off the in-flight
-    /// batch's not-yet-elapsed tail. Window deltas of this integral are
-    /// exact even when service times span many evaluation windows.
-    fn busy_elapsed(&self, core: &FleetCore<'_>, t: f64) -> f64 {
-        core.state
-            .iter()
-            .map(|st| {
-                st.busy_time_s
-                    - if st.busy {
-                        (st.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
+    fn routable(&self, e: &impl ShardEngine) -> usize {
+        self.shards.clone().filter(|&s| e.is_open(s)).count()
     }
 
-    /// Starts paying for shard `s`; it joins dispatch after the warm-up.
-    fn launch(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
+    /// Opens shard `s` to routing: its warm-up finished, it launched with
+    /// no warm-up, or it is recalled from retiring.
+    fn join(&mut self, e: &mut impl ShardEngine, s: usize, now: f64) {
+        self.books[s].life = Lifecycle::Active;
+        e.set_open(s, true);
+        self.record(now, s, ScaleEventKind::Join);
+    }
+
+    /// Starts paying for shard `s`; it joins routing after the warm-up.
+    fn launch(&mut self, e: &mut impl ShardEngine, s: usize, now: f64) {
         self.change_on_count(now, 1);
-        self.on_since[s] = now;
+        self.books[s].on_since = now;
         self.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.lifecycle[s] = Lifecycle::Active;
-            core.accepting[s] = true;
-            self.record(now, s, ScaleEventKind::Join);
+        if self.warmup_s <= 0.0 {
+            self.join(e, s, now);
         } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.lifecycle[s] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
+            let ready_s = now + self.warmup_s;
+            self.books[s].life = Lifecycle::Warming { ready_s };
+            e.control_at(ready_s);
         }
     }
 
-    /// Removes shard `s` from dispatch; its queue drains or evicts per the
-    /// retire policy, and it leaves the paid fleet once idle.
-    fn retire(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
-        self.lifecycle[s] = Lifecycle::Retiring;
-        core.accepting[s] = false;
+    /// Closes shard `s` to routing and applies the engine's retire move;
+    /// the shard leaves the paid pool once idle.
+    fn retire(&mut self, e: &mut impl ShardEngine, s: usize, now: f64) {
+        self.books[s].life = Lifecycle::Retiring;
+        e.set_open(s, false);
         self.record(now, s, ScaleEventKind::RetireStart);
-        if self.cfg.retire == RetirePolicy::Evict {
-            core.state[s].tick(now);
-            let evicted: Vec<usize> = core.state[s].queue.drain(..).collect();
-            core.state[s].window_scheduled_for = None;
-            let mut touched = Vec::new();
-            for r in evicted {
-                // At least one shard keeps accepting during a retire (the
-                // evaluate() guard), so eviction never parks.
-                let s2 = core.admit(r, now).expect("survivor accepts evicted work");
-                if !touched.contains(&s2) {
-                    touched.push(s2);
+        self.migrations += e.retire_move(s, now, self.evict).unwrap_or(0);
+        self.maybe_finish_retire(e, s, now);
+    }
+
+    /// Completes a retirement once the shard is idle.
+    fn maybe_finish_retire(&mut self, e: &impl ShardEngine, s: usize, now: f64) {
+        if self.books[s].life == Lifecycle::Retiring && e.idle(s) {
+            self.books[s].life = Lifecycle::Off;
+            self.change_on_count(now, -1);
+            self.shard_seconds += now - self.books[s].on_since;
+            self.record(now, s, ScaleEventKind::Retired);
+        }
+    }
+
+    /// Joins every shard whose warm-up is due, so it can receive work
+    /// decided at the very same tick.
+    pub(crate) fn join_due(&mut self, e: &mut impl ShardEngine, now: f64) {
+        for s in self.shards.clone() {
+            if let Lifecycle::Warming { ready_s } = self.books[s].life {
+                if ready_s <= now {
+                    self.join(e, s, now);
                 }
             }
-            for s2 in touched {
-                core.try_dispatch(s2, now);
-            }
-        }
-        self.maybe_finish_retire(core, s, now);
-    }
-
-    /// Completes a retirement once the shard is idle with an empty queue.
-    fn maybe_finish_retire(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
-        if self.lifecycle[s] == Lifecycle::Retiring
-            && !core.state[s].busy
-            && core.state[s].queue.is_empty()
-        {
-            self.lifecycle[s] = Lifecycle::Off;
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
-            self.record(now, s, ScaleEventKind::Retired);
         }
     }
 
     /// One evaluation tick: decide a target and launch/recall/retire
     /// towards it.
-    fn evaluate(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        let staying = self.staying_count();
+    pub(crate) fn evaluate(&mut self, e: &mut impl ShardEngine, now: f64) {
+        let staying = self.staying();
         let obs = Observation {
             staying,
-            waiting: core.state.iter().map(|st| st.queue.len()).sum(),
-            accepting: self.accepting_count(core),
+            waiting: e.backlog(self.shards.clone()),
+            accepting: self.routable(e),
             paid: self.on_count,
-            busy_elapsed: self.busy_elapsed(core, now),
-            arrivals: core.arrivals_seen,
+            busy_elapsed: e.busy_elapsed(self.shards.clone(), now),
+            arrivals: e.arrivals(),
         };
         let desired = self
             .engine
             .desired(now, &obs)
-            .clamp(self.cfg.min_shards, self.max_shards);
-        if desired == staying {
-            return;
-        }
-        if self.cfg.policy.is_feedback() && now - self.last_action_s < self.cfg.cooldown_s {
+            .clamp(self.min_shards, self.shards.len());
+        if desired == staying || (self.feedback && now - self.last_action_s < self.cooldown_s) {
             return;
         }
         let mut acted = false;
         if desired > staying {
             let mut need = desired - staying;
-            // Recall retiring shards first: they are still warm (weights
-            // resident), so rejoining dispatch is free — no warm-up, no
-            // fresh Launch; the event log shows a bare Join.
-            for s in (0..self.max_shards).rev() {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Retiring {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
+            // Recall retiring shards first: weights (and any draining
+            // residents) are still in place, so rejoining is free — no
+            // warm-up, no fresh Launch; the event log shows a bare Join.
+            for s in self.shards.clone().rev() {
+                if need > 0 && self.books[s].life == Lifecycle::Retiring {
+                    self.join(e, s, now);
                     need -= 1;
                     acted = true;
                 }
             }
-            for s in 0..self.max_shards {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Off && !self.failed[s] {
-                    self.launch(core, s, now);
+            for s in self.shards.clone() {
+                if need > 0 && self.books[s].life == Lifecycle::Off && !self.books[s].failed {
+                    self.launch(e, s, now);
                     need -= 1;
                     acted = true;
                 }
             }
         } else {
             // desired >= min_shards (clamped) and each retire moves one
-            // shard out of `staying`, so the surviving fleet never drops
+            // shard out of `staying`, so the surviving pool never drops
             // below the floor even while earlier drains are in flight.
             let mut staying_now = staying;
-            for s in (0..self.max_shards).rev() {
-                if staying_now == desired {
-                    break;
-                }
-                // Retire only active shards, and never the last accepting
+            for s in self.shards.clone().rev() {
+                // Retire only active shards, and never the last routable
                 // one — a warming shard is not yet a routing target.
-                if self.lifecycle[s] == Lifecycle::Active && self.accepting_count(core) > 1 {
-                    self.retire(core, s, now);
+                if staying_now > desired
+                    && self.books[s].life == Lifecycle::Active
+                    && self.routable(e) > 1
+                {
+                    self.retire(e, s, now);
                     staying_now -= 1;
                     acted = true;
                 }
@@ -988,37 +1209,122 @@ impl<'a> Autoscaler<'a> {
             self.last_action_s = now;
         }
     }
+
+    /// Shard `s` finished a batch or iteration: a retiring shard migrates
+    /// its still-unfinished residents (evicting scale-down) and retires
+    /// once idle.
+    pub(crate) fn after_work(&mut self, e: &mut impl ShardEngine, s: usize, now: f64) {
+        if self.books[s].life == Lifecycle::Retiring && self.evict {
+            self.migrations += e.evict_residents(s, now);
+        }
+        self.maybe_finish_retire(e, s, now);
+    }
 }
 
-impl FleetController for Autoscaler<'_> {
-    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        // Finish any due warm-ups first, so a shard can join and receive
-        // work decided at the very same tick.
-        for s in 0..self.max_shards {
-            if let Lifecycle::Warming { ready_s } = self.lifecycle[s] {
-                if ready_s <= now {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                }
+/// The one autoscaling controller: a tick chain over one pool (colocated
+/// serving — [`simulate_autoscale`], [`simulate_decode_autoscale`]) or two
+/// (disaggregated serving — [`crate::disagg::simulate_disagg_autoscale`]).
+/// Each [`Pool`] owns its scaling decisions; the engine semantics sit
+/// behind [`ShardEngine`].
+pub(crate) struct PoolScaler {
+    pub(crate) pools: Vec<Pool>,
+    eval_interval_s: f64,
+    next_eval_s: f64,
+    /// Whether the evaluation tick chain runs ([`PoolScaler::arm`]).
+    ticking: bool,
+}
+
+impl PoolScaler {
+    /// `pools` pairs each envelope with its fleet shard range; `evict`
+    /// selects the evicting scale-down; `timing` is
+    /// `[eval_interval_s, warmup_s, cooldown_s]`.
+    pub(crate) fn new(
+        pools: &[(&PoolPolicy, Range<usize>)],
+        evict: bool,
+        timing: [f64; 3],
+    ) -> Self {
+        Self {
+            pools: pools
+                .iter()
+                .map(|(cfg, shards)| Pool::new(cfg, shards.clone(), evict, timing))
+                .collect(),
+            eval_interval_s: timing[0],
+            next_eval_s: timing[0],
+            ticking: false,
+        }
+    }
+
+    /// Starts the evaluation tick chain unless every pool is pinned: a
+    /// pinned run then carries no scaler event at all, so its event stream
+    /// (and report) is the plain engine's bit for bit.
+    pub(crate) fn prime(&mut self, e: &mut impl ShardEngine) {
+        if !self.pools.iter().all(|p| p.pinned) {
+            self.arm(e);
+        }
+    }
+
+    /// Starts the evaluation tick chain unconditionally.
+    pub(crate) fn arm(&mut self, e: &mut impl ShardEngine) {
+        self.ticking = true;
+        e.control_at(self.eval_interval_s);
+    }
+
+    /// Whether an evaluation tick is due at `now`. Once all work is done
+    /// (completed, or given up on by the client layer) the tick chain
+    /// stops so the event queue can drain.
+    pub(crate) fn tick_due(&mut self, e: &impl ShardEngine, now: f64) -> bool {
+        if !self.ticking || now + 1e-9 < self.next_eval_s {
+            return false;
+        }
+        self.ticking = !e.work_done();
+        self.ticking
+    }
+
+    /// Schedules the tick after an evaluation at `now`.
+    pub(crate) fn rearm(&mut self, e: &mut impl ShardEngine, now: f64) {
+        self.next_eval_s = now + self.eval_interval_s;
+        e.control_at(self.next_eval_s);
+    }
+
+    /// Every pool's scale events in time order (pool order at equal
+    /// instants).
+    pub(crate) fn take_events(&mut self) -> Vec<ScaleEvent> {
+        let mut events: Vec<ScaleEvent> = self
+            .pools
+            .iter_mut()
+            .flat_map(|p| std::mem::take(&mut p.events))
+            .collect();
+        events.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
+        events
+    }
+
+    /// The colocated control step: due warm-ups join first, then an
+    /// evaluation tick if one is due.
+    fn control(&mut self, e: &mut impl ShardEngine, now: f64) {
+        for pool in &mut self.pools {
+            pool.join_due(e, now);
+        }
+        if self.tick_due(e, now) {
+            for pool in &mut self.pools {
+                pool.evaluate(e, now);
             }
+            self.rearm(e, now);
         }
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
-            return;
-        }
-        if core.completed() + core.abandoned == core.trace.len() {
-            // Work is done (completed or given up on by the client
-            // layer): stop the tick chain so the heap can drain.
-            self.done_ticking = true;
-            return;
-        }
-        self.evaluate(core, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
+    }
+
+    /// The colocated pool.
+    pub(crate) fn colocated(&mut self) -> &mut Pool {
+        &mut self.pools[0]
+    }
+}
+
+impl FleetController for PoolScaler {
+    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
+        self.control(core, now);
     }
 
     fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.maybe_finish_retire(core, shard, now);
+        self.colocated().after_work(core, shard, now);
     }
 
     fn on_shard_down(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
@@ -1026,21 +1332,49 @@ impl FleetController for Autoscaler<'_> {
         // stage it was in (a crash mid-warm-up or mid-retire also lands
         // here; the pending warm-up control event finds no Warming state
         // and is a no-op).
-        if self.lifecycle[s] != Lifecycle::Off {
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
-            self.lifecycle[s] = Lifecycle::Off;
+        let pool = self.colocated();
+        if pool.books[s].life != Lifecycle::Off {
+            pool.change_on_count(now, -1);
+            pool.shard_seconds += now - pool.books[s].on_since;
+            pool.books[s].life = Lifecycle::Off;
         }
-        self.failed[s] = true;
-        self.record(now, s, ScaleEventKind::Failed);
+        pool.books[s].failed = true;
+        pool.record(now, s, ScaleEventKind::Failed);
     }
 
     fn on_shard_up(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
-        // Deliberately does NOT set `accepting`: a recovered shard is
+        // Deliberately does NOT reopen routing: a recovered shard is
         // cold, so it rejoins through the policy's normal launch +
         // warm-up path at the next evaluation that wants capacity.
-        self.failed[s] = false;
-        self.record(now, s, ScaleEventKind::Recovered);
+        let pool = self.colocated();
+        pool.books[s].failed = false;
+        pool.record(now, s, ScaleEventKind::Recovered);
+    }
+}
+
+impl DecodeController for PoolScaler {
+    fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
+        self.control(core, now);
+    }
+
+    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
+        self.colocated().after_work(core, shard, now);
+    }
+}
+
+impl AutoscaleConfig {
+    /// The one-pool scaler this configuration describes.
+    pub(crate) fn scaler(&self, max_shards: usize) -> PoolScaler {
+        let pool = PoolPolicy {
+            min_shards: self.min_shards,
+            initial_shards: self.initial_shards,
+            policy: self.policy.clone(),
+        };
+        PoolScaler::new(
+            &[(&pool, 0..max_shards)],
+            self.retire == RetirePolicy::Evict,
+            [self.eval_interval_s, self.warmup_s, self.cooldown_s],
+        )
     }
 }
 
@@ -1067,65 +1401,40 @@ pub fn simulate_autoscale(
     cfg.validate(shards.len());
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
-    let mut ctl = Autoscaler::new(cfg, shards.len());
-    if matches!(cfg.policy, ScalePolicy::Pinned) {
-        // No control events at all: the event stream is simulate_fleet's,
-        // which is what makes the min==max pin bit-for-bit.
-        core.run(&mut NullController);
-    } else {
-        core.schedule_control(cfg.eval_interval_s);
-        core.run(&mut ctl);
-    }
-
-    let latencies: Vec<f64> = core
-        .completion_s
-        .iter()
-        .zip(trace)
-        .map(|(&c, req)| c - req.arrival_s)
-        .collect();
+    let mut scaler = cfg.scaler(shards.len());
+    scaler.prime(&mut core);
+    core.run(&mut scaler);
+    let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
-    let makespan = fleet.makespan_s;
-
-    // Close the books on shards still committed at the end of the run.
-    let (shard_seconds, mean_active_shards, peak_active_shards) = ctl.close_books(makespan);
-
-    let in_slo = |lat: f64| lat <= cfg.slo_latency_s;
-    let slo_attainment =
-        latencies.iter().filter(|&&l| in_slo(l)).count() as f64 / latencies.len() as f64;
-    let mut edges = vec![0.0];
-    edges.extend(cfg.phase_bounds_s.iter().copied());
-    edges.push(f64::INFINITY);
-    let phases = edges
-        .windows(2)
-        .map(|w| {
-            let phase_lat: Vec<f64> = trace
-                .iter()
-                .zip(&latencies)
-                .filter(|(r, _)| r.arrival_s >= w[0] && r.arrival_s < w[1])
-                .map(|(_, &l)| l)
-                .collect();
-            PhaseSlo {
-                start_s: w[0],
-                end_s: w[1],
-                requests: phase_lat.len(),
-                slo_attainment: if phase_lat.is_empty() {
-                    1.0
-                } else {
-                    phase_lat.iter().filter(|&&l| in_slo(l)).count() as f64 / phase_lat.len() as f64
-                },
-                p95_latency_s: percentile(&phase_lat, 0.95).unwrap_or(0.0),
-            }
-        })
-        .collect();
-
+    let (shard_seconds, mean_active_shards, peak_active_shards) =
+        scaler.colocated().close_books(fleet.makespan_s);
+    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
+    let latency = |r: usize| completion_s[r] - arrivals[r];
+    let slo = cfg.slo_latency_s;
     AutoscaleReport {
         fleet,
         shard_seconds,
         mean_active_shards,
         peak_active_shards,
-        scale_events: ctl.events,
-        slo_attainment,
-        phases,
+        scale_events: scaler.take_events(),
+        slo_attainment: slo_attainment(arrivals.len(), &latency, slo),
+        phases: slice_phases(
+            &cfg.phase_bounds_s,
+            &arrivals,
+            &completion_s,
+            &latency,
+            slo,
+            true,
+        )
+        .iter()
+        .map(|t| PhaseSlo {
+            start_s: t.start_s,
+            end_s: t.end_s,
+            requests: t.arrivals,
+            slo_attainment: t.slo_attainment(),
+            p95_latency_s: t.p95_s,
+        })
+        .collect(),
     }
 }
 
@@ -1278,301 +1587,6 @@ pub struct DecodeAutoscaleReport {
     pub re_prefills: usize,
 }
 
-/// The policy-driven `DecodeController`.
-struct DecodeAutoscaler<'a> {
-    cfg: &'a DecodeAutoscaleConfig,
-    max_shards: usize,
-    lifecycle: Vec<Lifecycle>,
-    /// Time each non-[`Lifecycle::Off`] shard started being paid for.
-    on_since: Vec<f64>,
-    shard_seconds: f64,
-    events: Vec<ScaleEvent>,
-    next_eval_s: f64,
-    last_action_s: f64,
-    engine: PolicyEngine,
-    /// Committed (non-Off) shards right now.
-    on_count: usize,
-    peak_on: usize,
-    on_integral: f64,
-    last_on_change_s: f64,
-    done_ticking: bool,
-    /// Residents evicted by Migrate scale-downs.
-    migrations: usize,
-}
-
-impl<'a> DecodeAutoscaler<'a> {
-    fn new(cfg: &'a DecodeAutoscaleConfig, max_shards: usize) -> Self {
-        let lifecycle = (0..max_shards)
-            .map(|s| {
-                if s < cfg.initial_shards {
-                    Lifecycle::Active
-                } else {
-                    Lifecycle::Off
-                }
-            })
-            .collect();
-        Self {
-            cfg,
-            max_shards,
-            lifecycle,
-            on_since: vec![0.0; max_shards],
-            shard_seconds: 0.0,
-            events: Vec::new(),
-            next_eval_s: cfg.eval_interval_s,
-            last_action_s: f64::NEG_INFINITY,
-            engine: PolicyEngine::new(&cfg.policy, cfg.initial_shards, cfg.eval_interval_s),
-            on_count: cfg.initial_shards,
-            peak_on: cfg.initial_shards,
-            on_integral: 0.0,
-            last_on_change_s: 0.0,
-            done_ticking: false,
-            migrations: 0,
-        }
-    }
-
-    /// Advances the committed-shard integral and applies `delta`.
-    fn change_on_count(&mut self, now: f64, delta: isize) {
-        self.on_integral += self.on_count as f64 * (now - self.last_on_change_s);
-        self.last_on_change_s = now;
-        self.on_count = (self.on_count as isize + delta) as usize;
-        self.peak_on = self.peak_on.max(self.on_count);
-    }
-
-    fn record(&mut self, now: f64, shard: usize, kind: ScaleEventKind) {
-        self.events.push(ScaleEvent {
-            time_s: now,
-            shard,
-            kind,
-            on_after: self.on_count,
-        });
-    }
-
-    fn accepting_count(&self, core: &DecodeCore<'_>) -> usize {
-        core.accepting.iter().filter(|&&a| a).count()
-    }
-
-    /// Shards committed *going forward* — active or warming, but not
-    /// retiring (see [`Autoscaler::staying_count`]).
-    fn staying_count(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
-            .count()
-    }
-
-    /// Fleet busy time actually *elapsed* by `t`: iterations charge their
-    /// whole duration at launch, so clip off the in-flight iteration's
-    /// not-yet-elapsed tail.
-    fn busy_elapsed(&self, core: &DecodeCore<'_>, t: f64) -> f64 {
-        core.shards
-            .iter()
-            .map(|sh| {
-                sh.busy_time_s
-                    - if sh.stepping {
-                        (sh.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
-    }
-
-    /// Starts paying for shard `s`; it joins dispatch after the warm-up.
-    fn launch(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        self.change_on_count(now, 1);
-        self.on_since[s] = now;
-        self.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.lifecycle[s] = Lifecycle::Active;
-            core.accepting[s] = true;
-            self.record(now, s, ScaleEventKind::Join);
-        } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.lifecycle[s] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
-        }
-    }
-
-    /// Evicts shard `s`'s *unfinished* residents back into the accepting
-    /// shards' queues (the Migrate move, i.e. the shared
-    /// [`crate::decode::KvTransfer::Reprefill`] primitive); each
-    /// re-prefills its grown context on re-admission.
-    fn evict_residents(
-        &mut self,
-        core: &mut DecodeCore<'_>,
-        s: usize,
-        now: f64,
-        touched: &mut Vec<usize>,
-    ) {
-        self.migrations += core.evict_unfinished(s, now, touched);
-    }
-
-    /// Removes shard `s` from dispatch. Both scale-down modes hand the
-    /// waiting queue to the survivors immediately (a retiring shard
-    /// admits nothing new into its slots); Migrate additionally evicts
-    /// the residents — at once if the shard is idle, else at the next
-    /// iteration boundary ([`DecodeController::after_step`]).
-    fn retire(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        self.lifecycle[s] = Lifecycle::Retiring;
-        core.accepting[s] = false;
-        self.record(now, s, ScaleEventKind::RetireStart);
-        core.shards[s].tick(now);
-        let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-        let mut touched = Vec::new();
-        for r in waiting {
-            let s2 = core.route_request(r, now);
-            if !touched.contains(&s2) {
-                touched.push(s2);
-            }
-        }
-        if self.cfg.scale_down == DecodeScaleDown::Migrate && !core.shards[s].stepping {
-            self.evict_residents(core, s, now, &mut touched);
-        }
-        for s2 in touched {
-            core.start_iteration(s2, now);
-        }
-        self.maybe_finish_retire(core, s, now);
-    }
-
-    /// Completes a retirement once the shard is idle with no residents
-    /// and an empty queue.
-    fn maybe_finish_retire(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        if self.lifecycle[s] == Lifecycle::Retiring
-            && !core.shards[s].stepping
-            && core.shards[s].resident.is_empty()
-            && core.shards[s].queue.is_empty()
-        {
-            self.lifecycle[s] = Lifecycle::Off;
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
-            self.record(now, s, ScaleEventKind::Retired);
-        }
-    }
-
-    /// One evaluation tick: decide a target and launch/recall/retire
-    /// towards it (mirrors [`Autoscaler::evaluate`] on the decode core).
-    fn evaluate(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        let staying = self.staying_count();
-        let obs = Observation {
-            staying,
-            // Slot-pool pressure, not just the queue: a KV resident holds
-            // capacity exactly like a waiting request, so reactive
-            // thresholds here are in units of in-system requests per
-            // accepting shard (compare against the slot count).
-            waiting: core
-                .shards
-                .iter()
-                .map(|sh| sh.queue.len() + sh.resident.len())
-                .sum(),
-            accepting: self.accepting_count(core),
-            paid: self.on_count,
-            busy_elapsed: self.busy_elapsed(core, now),
-            arrivals: core.arrivals_seen,
-        };
-        let desired = self
-            .engine
-            .desired(now, &obs)
-            .clamp(self.cfg.min_shards, self.max_shards);
-        if desired == staying {
-            return;
-        }
-        if self.cfg.policy.is_feedback() && now - self.last_action_s < self.cfg.cooldown_s {
-            return;
-        }
-        let mut acted = false;
-        if desired > staying {
-            let mut need = desired - staying;
-            // Recall retiring shards first: weights (and any draining
-            // residents) are still in place, so rejoining is free.
-            for s in (0..self.max_shards).rev() {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Retiring {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-            for s in 0..self.max_shards {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Off {
-                    self.launch(core, s, now);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-        } else {
-            let mut staying_now = staying;
-            for s in (0..self.max_shards).rev() {
-                if staying_now == desired {
-                    break;
-                }
-                // Retire only active shards, and never the last accepting
-                // one — a warming shard is not yet a routing target.
-                if self.lifecycle[s] == Lifecycle::Active && self.accepting_count(core) > 1 {
-                    self.retire(core, s, now);
-                    staying_now -= 1;
-                    acted = true;
-                }
-            }
-        }
-        if acted {
-            self.last_action_s = now;
-        }
-    }
-}
-
-impl DecodeController for DecodeAutoscaler<'_> {
-    fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        // Finish any due warm-ups first, so a shard can join and receive
-        // work decided at the very same tick.
-        for s in 0..self.max_shards {
-            if let Lifecycle::Warming { ready_s } = self.lifecycle[s] {
-                if ready_s <= now {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                }
-            }
-        }
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
-            return;
-        }
-        if core.completed() + core.abandoned == core.trace.len() {
-            // Work is done (completed or given up on by the client
-            // layer): stop the tick chain so the heap can drain.
-            self.done_ticking = true;
-            return;
-        }
-        self.evaluate(core, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
-    }
-
-    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if self.lifecycle[shard] != Lifecycle::Retiring {
-            return;
-        }
-        if self.cfg.scale_down == DecodeScaleDown::Migrate
-            && !core.shards[shard].resident.is_empty()
-        {
-            // The in-flight iteration completed: hand the survivors the
-            // still-unfinished residents.
-            let mut touched = Vec::new();
-            self.evict_residents(core, shard, now, &mut touched);
-            for s2 in touched {
-                core.start_iteration(s2, now);
-            }
-        }
-        self.maybe_finish_retire(core, shard, now);
-    }
-}
-
 /// Simulates a decode `trace` over a fleet of up to `shards.len()` shards
 /// whose membership the autoscaling controller drives at runtime;
 /// scheduling, admission and the iteration cost model are exactly
@@ -1601,68 +1615,52 @@ pub fn simulate_decode_autoscale(
     let mut core = DecodeCore::new(
         shards, trace, policy, dispatch, scheduler, decode_cfg, accepting,
     );
-    let mut ctl = DecodeAutoscaler::new(cfg, shards.len());
-    if matches!(cfg.policy, ScalePolicy::Pinned) {
-        // No control events at all: the event stream is simulate_decode's,
-        // which is what makes the min==max pin bit-for-bit.
-        core.run(&mut NullDecodeController);
-    } else {
-        core.schedule_control(cfg.eval_interval_s);
-        core.run(&mut ctl);
-    }
+    let pool = PoolPolicy {
+        min_shards: cfg.min_shards,
+        initial_shards: cfg.initial_shards,
+        policy: cfg.policy.clone(),
+    };
+    let mut scaler = PoolScaler::new(
+        &[(&pool, 0..shards.len())],
+        cfg.scale_down == DecodeScaleDown::Migrate,
+        [cfg.eval_interval_s, cfg.warmup_s, cfg.cooldown_s],
+    );
+    scaler.prime(&mut core);
+    core.run(&mut scaler);
+    let completion_s = core.completion_s.clone();
+    let ttft_s = core.ttft_s.clone();
     let decode = core.into_report();
-    let makespan = decode.fleet.makespan_s;
-
-    // Close the books on shards still committed at the end of the run.
-    let mut shard_seconds = ctl.shard_seconds;
-    for s in 0..shards.len() {
-        if ctl.lifecycle[s] != Lifecycle::Off {
-            shard_seconds += (makespan - ctl.on_since[s]).max(0.0);
-        }
-    }
-    let end = makespan.max(ctl.last_on_change_s).max(1e-12);
-    let on_integral = ctl.on_integral + ctl.on_count as f64 * (end - ctl.last_on_change_s);
-
-    let in_slo = |t: f64| t <= cfg.slo_ttft_s;
-    let ttfts: Vec<f64> = decode.requests.iter().map(|r| r.ttft_s).collect();
-    let slo_attainment = ttfts.iter().filter(|&&t| in_slo(t)).count() as f64 / ttfts.len() as f64;
-    let mut edges = vec![0.0];
-    edges.extend(cfg.phase_bounds_s.iter().copied());
-    edges.push(f64::INFINITY);
-    let phases = edges
-        .windows(2)
-        .map(|w| {
-            let phase_ttft: Vec<f64> = trace
-                .iter()
-                .zip(&ttfts)
-                .filter(|(r, _)| r.arrival_s >= w[0] && r.arrival_s < w[1])
-                .map(|(_, &t)| t)
-                .collect();
-            DecodePhaseSlo {
-                start_s: w[0],
-                end_s: w[1],
-                requests: phase_ttft.len(),
-                slo_attainment: if phase_ttft.is_empty() {
-                    1.0
-                } else {
-                    phase_ttft.iter().filter(|&&t| in_slo(t)).count() as f64
-                        / phase_ttft.len() as f64
-                },
-                p95_ttft_s: percentile(&phase_ttft, 0.95).unwrap_or(0.0),
-            }
-        })
-        .collect();
+    let (shard_seconds, mean_active_shards, peak_active_shards) =
+        scaler.colocated().close_books(decode.fleet.makespan_s);
+    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
+    let ttft = |r: usize| ttft_s[r];
+    let slo = cfg.slo_ttft_s;
     let re_prefills = decode.requests.iter().map(|r| r.re_prefills as usize).sum();
-
     DecodeAutoscaleReport {
         decode,
         shard_seconds,
-        mean_active_shards: on_integral / end,
-        peak_active_shards: ctl.peak_on,
-        scale_events: ctl.events,
-        slo_attainment,
-        phases,
-        migrations: ctl.migrations,
+        mean_active_shards,
+        peak_active_shards,
+        scale_events: scaler.take_events(),
+        slo_attainment: slo_attainment(arrivals.len(), &ttft, slo),
+        phases: slice_phases(
+            &cfg.phase_bounds_s,
+            &arrivals,
+            &completion_s,
+            &ttft,
+            slo,
+            true,
+        )
+        .iter()
+        .map(|t| DecodePhaseSlo {
+            start_s: t.start_s,
+            end_s: t.end_s,
+            requests: t.arrivals,
+            slo_attainment: t.slo_attainment(),
+            p95_ttft_s: t.p95_s,
+        })
+        .collect(),
+        migrations: scaler.colocated().migrations,
         re_prefills,
     }
 }

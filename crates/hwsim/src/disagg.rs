@@ -26,10 +26,11 @@
 //! `accepting` mask confines fresh arrivals to the prefill shards, and
 //! the handoff queue is a controller agenda — so the existing layers
 //! compose: [`ReportMode::Streaming`] reporting, fault injection on
-//! either pool ([`crate::failure::simulate_disagg_failure`]), and
-//! per-pool autoscaling through the shared
-//! [`crate::autoscale::ScalePolicy`] semantics
-//! ([`simulate_disagg_autoscale`]).
+//! either pool ([`crate::failure::simulate_disagg_failure`], through the
+//! same fault injector as every engine), and per-pool autoscaling
+//! ([`simulate_disagg_autoscale`]) as the two-pool case of the one
+//! autoscaling controller: the prefill pool scales on the core's
+//! `accepting` mask, the decode pool on the handoff mask.
 //!
 //! # Example
 //!
@@ -76,9 +77,7 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{
-    Lifecycle, Observation, PolicyEngine, ScaleEvent, ScaleEventKind, ScalePolicy,
-};
+use crate::autoscale::{PoolScaler, ScaleEvent, ScalePolicy, ShardEngine};
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
     KvTransfer,
@@ -717,327 +716,126 @@ pub struct DisaggAutoscaleReport {
     pub scale_events: Vec<ScaleEvent>,
 }
 
-/// One pool's scaling state: a [`PolicyEngine`] plus shard lifecycles
-/// over a contiguous index range of the combined fleet.
-struct PoolScaler {
-    range: std::ops::Range<usize>,
-    min_shards: usize,
-    is_feedback: bool,
-    engine: PolicyEngine,
-    lifecycle: Vec<Lifecycle>,
-    on_since: Vec<f64>,
-    shard_seconds: f64,
-    on_count: usize,
-    peak_on: usize,
-    last_action_s: f64,
-    events: Vec<ScaleEvent>,
+/// The disaggregated decode pool as a [`ShardEngine`]: routing membership
+/// is the handoff mask (`open`), retire re-routes the waiting queue over
+/// the pool's survivors, and the pool's offered load is the handoff
+/// stream rather than the trace arrivals.
+struct HandoffPool<'c, 'a, 'b> {
+    core: &'c mut DecodeCore<'a>,
+    ctl: &'c mut DisaggController<'b>,
 }
 
-impl PoolScaler {
-    fn new(pool: &PoolPolicy, range: std::ops::Range<usize>, eval_interval_s: f64) -> Self {
-        let lifecycle = (0..range.len())
-            .map(|i| {
-                if i < pool.initial_shards {
-                    Lifecycle::Active
-                } else {
-                    Lifecycle::Off
-                }
-            })
-            .collect();
-        Self {
-            min_shards: pool.min_shards,
-            is_feedback: pool.policy.is_feedback(),
-            engine: PolicyEngine::new(&pool.policy, pool.initial_shards, eval_interval_s),
-            lifecycle,
-            on_since: vec![0.0; range.len()],
-            shard_seconds: 0.0,
-            on_count: pool.initial_shards,
-            peak_on: pool.initial_shards,
-            last_action_s: f64::NEG_INFINITY,
-            events: Vec::new(),
-            range,
-        }
+impl ShardEngine for HandoffPool<'_, '_, '_> {
+    fn set_open(&mut self, s: usize, open: bool) {
+        self.ctl.open[s] = open;
     }
 
-    fn staying(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
-            .count()
+    fn is_open(&self, s: usize) -> bool {
+        self.ctl.open[s] && !self.core.dead[s]
     }
 
-    fn record(&mut self, now: f64, shard: usize, kind: ScaleEventKind) {
-        self.events.push(ScaleEvent {
-            time_s: now,
-            shard,
-            kind,
-            on_after: self.on_count,
-        });
-    }
-}
-
-/// The per-pool autoscaling controller: one [`PolicyEngine`] per pool on
-/// a shared tick, wrapping the [`DisaggController`] that keeps doing the
-/// handoff/caching work.
-struct DisaggAutoscaler<'a> {
-    inner: DisaggController<'a>,
-    cfg: &'a DisaggAutoscaleConfig,
-    pools: [PoolScaler; 2],
-    next_eval_s: f64,
-    done_ticking: bool,
-}
-
-impl<'a> DisaggAutoscaler<'a> {
-    fn new(
-        inner: DisaggController<'a>,
-        cfg: &'a DisaggAutoscaleConfig,
-        n_prefill: usize,
-        n_total: usize,
-    ) -> Self {
-        Self {
-            inner,
-            cfg,
-            pools: [
-                PoolScaler::new(&cfg.prefill, 0..n_prefill, cfg.eval_interval_s),
-                PoolScaler::new(&cfg.decode, n_prefill..n_total, cfg.eval_interval_s),
-            ],
-            next_eval_s: cfg.eval_interval_s,
-            done_ticking: false,
-        }
-    }
-
-    /// Marks shard `s` routable for its pool: `accepting` for prefill,
-    /// the handoff mask for decode.
-    fn open_shard(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize) {
-        if pool == 0 {
-            core.accepting[s] = true;
-        } else {
-            self.inner.open[s] = true;
-        }
-    }
-
-    fn launch(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let p = &mut self.pools[pool];
-        p.on_count += 1;
-        p.peak_on = p.peak_on.max(p.on_count);
-        let local = s - p.range.start;
-        p.on_since[local] = now;
-        p.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.pools[pool].lifecycle[local] = Lifecycle::Active;
-            self.pools[pool].record(now, s, ScaleEventKind::Join);
-            self.open_shard(core, pool, s);
-        } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.pools[pool].lifecycle[local] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
-        }
-    }
-
-    /// Drain-style retirement: the shard leaves routing, hands its
-    /// waiting queue back to its pool's survivors, and keeps stepping its
-    /// residents to completion in place.
-    fn retire(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let local = s - self.pools[pool].range.start;
-        self.pools[pool].lifecycle[local] = Lifecycle::Retiring;
-        if pool == 0 {
-            core.accepting[s] = false;
-        } else {
-            self.inner.open[s] = false;
-        }
-        self.pools[pool].record(now, s, ScaleEventKind::RetireStart);
-        core.shards[s].tick(now);
-        let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-        let routable = pool != 0 && self.inner.refresh_decode_mask(core);
+    /// Lands `requests` on the routable decode pool; with none routable
+    /// they fall back to the accepting shards and re-prefill there.
+    fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        let routable = self.ctl.refresh_decode_mask(self.core);
         let mut touched = Vec::new();
-        for r in waiting {
-            let s2 = if pool == 0 {
-                core.route_request(r, now)
-            } else if routable {
-                core.route_request_into(r, now, &self.inner.mask, &mut self.inner.rr_decode)
+        for r in requests {
+            let s = if routable {
+                self.core
+                    .route_request_into(r, now, &self.ctl.mask, &mut self.ctl.rr_decode)
             } else {
-                core.kv_warm[r] = false;
-                core.route_request(r, now)
+                self.core.kv_warm[r] = false;
+                self.core.route_request(r, now)
             };
-            if !touched.contains(&s2) {
-                touched.push(s2);
+            if !touched.contains(&s) {
+                touched.push(s);
             }
         }
-        for s2 in touched {
-            core.start_iteration(s2, now);
-        }
-        self.maybe_finish_retire(core, pool, s, now);
-    }
-
-    fn maybe_finish_retire(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let p = &mut self.pools[pool];
-        let local = s - p.range.start;
-        if p.lifecycle[local] == Lifecycle::Retiring
-            && !core.shards[s].stepping
-            && core.shards[s].resident.is_empty()
-            && core.shards[s].queue.is_empty()
-        {
-            p.lifecycle[local] = Lifecycle::Off;
-            p.on_count -= 1;
-            p.shard_seconds += now - p.on_since[local];
-            p.record(now, s, ScaleEventKind::Retired);
+        for s in touched {
+            self.core.start_iteration(s, now);
         }
     }
 
-    /// Pool-local busy time actually elapsed by `t` (launch-time charges
-    /// clipped, as in the decode autoscaler).
-    fn busy_elapsed(&self, core: &DecodeCore<'_>, pool: usize, t: f64) -> f64 {
-        core.shards[self.pools[pool].range.clone()]
-            .iter()
-            .map(|sh| {
-                sh.busy_time_s
-                    - if sh.stepping {
-                        (sh.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
+    /// Drain-style: residents keep stepping to completion in place.
+    fn retire_move(&mut self, s: usize, now: f64, _evict: bool) -> Option<usize> {
+        self.core.shards[s].tick(now);
+        let waiting: Vec<usize> = self.core.shards[s].queue.drain(..).collect();
+        self.readmit(waiting, now);
+        Some(0)
     }
 
-    fn evaluate_pool(&mut self, core: &mut DecodeCore<'_>, pool: usize, now: f64) {
-        let range = self.pools[pool].range.clone();
-        let staying = self.pools[pool].staying();
-        let routable = if pool == 0 {
-            core.accepting[range.clone()].iter().filter(|&&a| a).count()
-        } else {
-            range
-                .clone()
-                .filter(|&s| self.inner.open[s] && !core.dead[s])
-                .count()
-        };
-        let obs = Observation {
-            staying,
-            waiting: core.shards[range.clone()]
-                .iter()
-                .map(|sh| sh.queue.len() + sh.resident.len())
-                .sum(),
-            accepting: routable,
-            paid: self.pools[pool].on_count,
-            busy_elapsed: self.busy_elapsed(core, pool, now),
-            // The decode pool's offered load is the handoff stream, not
-            // the trace arrivals.
-            arrivals: if pool == 0 {
-                core.arrivals_seen
-            } else {
-                self.inner.transfers
-            },
-        };
-        let desired = self.pools[pool]
-            .engine
-            .desired(now, &obs)
-            .clamp(self.pools[pool].min_shards, range.len());
-        if desired == staying {
-            return;
-        }
-        if self.pools[pool].is_feedback
-            && now - self.pools[pool].last_action_s < self.cfg.cooldown_s
-        {
-            return;
-        }
-        let mut acted = false;
-        if desired > staying {
-            let mut need = desired - staying;
-            for s in range.clone().rev() {
-                if need == 0 {
-                    break;
-                }
-                let local = s - range.start;
-                if self.pools[pool].lifecycle[local] == Lifecycle::Retiring {
-                    self.pools[pool].lifecycle[local] = Lifecycle::Active;
-                    self.pools[pool].record(now, s, ScaleEventKind::Join);
-                    self.open_shard(core, pool, s);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-            for s in range.clone() {
-                if need == 0 {
-                    break;
-                }
-                if self.pools[pool].lifecycle[s - range.start] == Lifecycle::Off {
-                    self.launch(core, pool, s, now);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-        } else {
-            let mut staying_now = staying;
-            for s in range.clone().rev() {
-                if staying_now == desired {
-                    break;
-                }
-                let local = s - range.start;
-                let still_routable = if pool == 0 {
-                    core.accepting[range.clone()].iter().filter(|&&a| a).count() > 1
-                } else {
-                    range
-                        .clone()
-                        .filter(|&i| self.inner.open[i] && !core.dead[i])
-                        .count()
-                        > 1
-                };
-                if self.pools[pool].lifecycle[local] == Lifecycle::Active && still_routable {
-                    self.retire(core, pool, s, now);
-                    staying_now -= 1;
-                    acted = true;
-                }
-            }
-        }
-        if acted {
-            self.pools[pool].last_action_s = now;
-        }
+    fn evict_residents(&mut self, s: usize, now: f64) -> usize {
+        self.core.evict_residents(s, now)
+    }
+
+    fn idle(&self, s: usize) -> bool {
+        self.core.idle(s)
+    }
+
+    fn backlog(&self, shards: std::ops::Range<usize>) -> usize {
+        self.core.backlog(shards)
+    }
+
+    fn busy_elapsed(&self, shards: std::ops::Range<usize>, t: f64) -> f64 {
+        self.core.busy_elapsed(shards, t)
+    }
+
+    fn arrivals(&self) -> usize {
+        self.ctl.transfers
+    }
+
+    fn control_at(&mut self, t: f64) {
+        self.core.schedule_control(t);
+    }
+
+    fn work_done(&self) -> bool {
+        self.core.work_done()
     }
 }
 
-impl DecodeController for DisaggAutoscaler<'_> {
+/// The two-pool case of the [`PoolScaler`]: the prefill pool scales on
+/// the core's `accepting` mask, the decode pool on the handoff mask, on
+/// one shared tick, while the [`DisaggController`] keeps doing the
+/// handoff and caching work.
+struct ScaledDisagg<'a> {
+    ctl: DisaggController<'a>,
+    scaler: PoolScaler,
+}
+
+impl DecodeController for ScaledDisagg<'_> {
     fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
-        self.inner.on_arrival(core, r, now);
+        self.ctl.on_arrival(core, r, now);
     }
 
     fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        // Finish due warm-ups so a shard can join and receive work
-        // decided at the same tick.
-        for pool in 0..2 {
-            let range = self.pools[pool].range.clone();
-            for s in range {
-                let local = s - self.pools[pool].range.start;
-                if let Lifecycle::Warming { ready_s } = self.pools[pool].lifecycle[local] {
-                    if ready_s <= now {
-                        self.pools[pool].lifecycle[local] = Lifecycle::Active;
-                        self.pools[pool].record(now, s, ScaleEventKind::Join);
-                        self.open_shard(core, pool, s);
-                    }
-                }
-            }
+        // Due warm-ups join first, so a shard can receive work decided at
+        // the same tick.
+        self.scaler.pools[0].join_due(core, now);
+        self.scaler.pools[1].join_due(
+            &mut HandoffPool {
+                core,
+                ctl: &mut self.ctl,
+            },
+            now,
+        );
+        self.ctl.on_control(core, now);
+        if self.scaler.tick_due(core, now) {
+            self.scaler.pools[0].evaluate(core, now);
+            self.scaler.pools[1].evaluate(
+                &mut HandoffPool {
+                    core,
+                    ctl: &mut self.ctl,
+                },
+                now,
+            );
+            self.scaler.rearm(core, now);
         }
-        self.inner.on_control(core, now);
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
-            return;
-        }
-        if core.completed() + core.abandoned == core.trace.len() {
-            self.done_ticking = true;
-            return;
-        }
-        self.evaluate_pool(core, 0, now);
-        self.evaluate_pool(core, 1, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
     }
 
     fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.after_step(core, shard, now);
-        let pool = usize::from(shard >= self.pools[1].range.start);
-        self.maybe_finish_retire(core, pool, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
+        self.ctl.after_step(core, shard, now);
+        let pool = usize::from(shard >= self.ctl.n_prefill);
+        self.scaler.pools[pool].after_work(core, shard, now);
     }
 }
 
@@ -1076,33 +874,26 @@ pub fn simulate_disagg_autoscale(
         .map(|s| s < acfg.prefill.initial_shards)
         .collect();
     let mut core = DecodeCore::new(&designs, trace, policy, dispatch, scheduler, cfg, accepting);
-    let inner = DisaggController::new(
-        designs.len(),
-        n_prefill,
-        acfg.decode.initial_shards,
-        prefixes,
-        trace.len(),
-        dcfg,
-    );
-    let pinned = matches!(acfg.prefill.policy, ScalePolicy::Pinned)
-        && matches!(acfg.decode.policy, ScalePolicy::Pinned);
-    let mut ctl = DisaggAutoscaler::new(inner, acfg, n_prefill, designs.len());
-    if pinned {
-        // No evaluation ticks: the event stream is simulate_disaggregated's.
-        let mut plain = DisaggController::new(
+    let mut run = ScaledDisagg {
+        ctl: DisaggController::new(
             designs.len(),
             n_prefill,
             acfg.decode.initial_shards,
             prefixes,
             trace.len(),
             dcfg,
-        );
-        core.run(&mut plain);
-        ctl.inner = plain;
-    } else {
-        core.schedule_control(acfg.eval_interval_s);
-        core.run(&mut ctl);
-    }
+        ),
+        scaler: PoolScaler::new(
+            &[
+                (&acfg.prefill, 0..n_prefill),
+                (&acfg.decode, n_prefill..designs.len()),
+            ],
+            false,
+            [acfg.eval_interval_s, acfg.warmup_s, acfg.cooldown_s],
+        ),
+    };
+    run.scaler.prime(&mut core);
+    core.run(&mut run);
     let decode = core.into_report();
     assert_eq!(
         decode.fleet.completed,
@@ -1110,33 +901,22 @@ pub fn simulate_disagg_autoscale(
         "request never completed (conservation bug in the disagg autoscaler)"
     );
     let makespan = decode.fleet.makespan_s;
-    // Close the books on shards still committed at the end of the run.
-    let mut totals = [0.0f64; 2];
-    for (total, p) in totals.iter_mut().zip(ctl.pools.iter()) {
-        *total = p.shard_seconds;
-        for local in 0..p.range.len() {
-            if p.lifecycle[local] != Lifecycle::Off {
-                *total += (makespan - p.on_since[local]).max(0.0);
-            }
-        }
-    }
-    let mut scale_events: Vec<ScaleEvent> = ctl.pools[0].events.clone();
-    scale_events.extend(ctl.pools[1].events.iter().cloned());
-    scale_events.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-    let [peak_prefill, peak_decode] = [ctl.pools[0].peak_on, ctl.pools[1].peak_on];
+    let [(prefill_shard_seconds, _, peak_prefill_shards), (decode_shard_seconds, _, peak_decode_shards)] =
+        [0, 1].map(|p| run.scaler.pools[p].close_books(makespan));
     DisaggAutoscaleReport {
-        disagg: ctl.inner.into_report(decode),
-        prefill_shard_seconds: totals[0],
-        decode_shard_seconds: totals[1],
-        peak_prefill_shards: peak_prefill,
-        peak_decode_shards: peak_decode,
-        scale_events,
+        prefill_shard_seconds,
+        decode_shard_seconds,
+        peak_prefill_shards,
+        peak_decode_shards,
+        scale_events: run.scaler.take_events(),
+        disagg: run.ctl.into_report(decode),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::ScaleEventKind;
     use crate::fleet::homogeneous_fleet;
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;

@@ -6,11 +6,15 @@
 //! completes. Real fleets lose shards mid-peak, develop stragglers, and
 //! face clients that give up. This module injects exactly those events —
 //! deterministically, from a seed-free declarative [`FaultPlan`] — through
-//! the controller hooks the engines already expose
-//! (`FleetController::on_shard_down` and friends), so a dead shard's
-//! queued work and live KV residents re-route through the same
-//! drain/migrate machinery scale-down uses, and a straggler's in-flight
-//! batches are re-priced on the fly.
+//! one fault injector that serves both engine cores. It wraps the inner
+//! controller (none, the autoscaler, or the disaggregation controller)
+//! and makes its moves through the same crate-internal engine trait the
+//! autoscaler uses, so a dead shard's queued work and live KV residents
+//! re-route through the same drain/migrate machinery scale-down uses, and
+//! a straggler's in-flight batches are re-priced on the fly. The decode
+//! engine cannot park work: a plan whose crashes alone ever take down
+//! every shard (every prefill shard, for disagg) is rejected before the
+//! run, and a crash that leaves only live stragglers open reopens them.
 //!
 //! Three layers compose here:
 //!
@@ -28,8 +32,10 @@
 //!   [`crate::fleet::RateProfile::Burst`] generates them; this module
 //!   reports how the fleet rode them out.
 //!
-//! Reporting slices the run into pre-incident / during-incident /
-//! post-incident [`IncidentPhase`]s along the plan's
+//! Reporting — one client-view assembler and one phase slicer for all
+//! four entry points, in either [`ReportMode`] — slices the run into
+//! pre-incident / during-incident / post-incident [`IncidentPhase`]s
+//! along the plan's
 //! [`FaultPlan::incident_window`], each with SLO attainment, goodput, and
 //! (for the autoscaled entry point) the scale-event count — the
 //! time-to-recovery view the `ablate_failures` bin asserts on.
@@ -94,7 +100,7 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
+use crate::autoscale::{AutoscaleConfig, DecodeScaleDown, ScaleEvent, ShardEngine};
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
     NullDecodeController,
@@ -108,6 +114,7 @@ use lat_core::sketch::{QuantileSketch, ReportMode};
 use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 // ───────────────────────────── fault plans ─────────────────────────────
 
@@ -237,6 +244,39 @@ impl FaultPlan {
             });
         }
         window
+    }
+
+    /// Panics if crashes alone ever leave every shard of `pool` down at
+    /// once — a dead end for an engine that cannot park work (decode, and
+    /// the disaggregated prefill pool), rejected before the run instead of
+    /// mid-run. Crash windows count as closed intervals
+    /// `[at_s, recover_s]`: at a shared instant the recovery and the crash
+    /// apply in declaration order, so touching windows may overlap.
+    fn assert_survivable(&self, pool: Range<usize>) {
+        let crashes: Vec<(usize, f64, f64)> = self
+            .faults
+            .iter()
+            .filter_map(|f| match f.kind {
+                FaultKind::Crash { at_s, recover_s } if pool.contains(&f.shard) => {
+                    Some((f.shard, at_s, recover_s.unwrap_or(f64::INFINITY)))
+                }
+                _ => None,
+            })
+            .collect();
+        for &(_, t, _) in &crashes {
+            let mut down: Vec<usize> = crashes
+                .iter()
+                .filter(|&&(_, at, until)| at <= t && t <= until)
+                .map(|&(s, _, _)| s)
+                .collect();
+            down.sort_unstable();
+            down.dedup();
+            assert!(
+                down.len() < pool.len(),
+                "fault plan crashes every shard of the pool at once \
+                 (the decode engine cannot park work)"
+            );
+        }
     }
 
     /// The plan flattened into time-ordered injector actions (stable on
@@ -455,7 +495,7 @@ pub struct IncidentPhase {
     /// 95th-percentile latency of the phase's completed arrivals (0 when
     /// none completed).
     pub p95_latency_s: f64,
-    /// Autoscaler actions inside the phase (0 for fixed fleets).
+    /// Scaling actions inside the phase (0 for fixed fleets).
     pub scale_events: usize,
 }
 
@@ -541,13 +581,171 @@ pub struct DecodeFailureReport {
     pub affected_drain_s: f64,
 }
 
-// ─────────────────────────── fleet injector ────────────────────────────
+// ──────────────────────────── fault injector ────────────────────────────
 
-/// [`FleetController`] that applies a [`FaultPlan`] and enforces
-/// [`ClientConfig`] timeouts, wrapping an inner controller (the no-op one
-/// for fixed fleets, the [`Autoscaler`] for autoscaled ones) whose hooks
-/// it forwards.
-struct FleetFaultInjector<C: FleetController> {
+/// The fault moves the [`FaultInjector`] makes on an engine, on top of
+/// the routing moves of [`ShardEngine`]. Implemented by `FleetCore` and
+/// `DecodeCore`.
+pub(crate) trait FaultTarget: ShardEngine {
+    /// Whether the engine parks work while no shard is open (the fleet).
+    /// An engine that cannot park (decode) instead closes a straggler to
+    /// routing while another shard is open, and needs an open shard after
+    /// every crash.
+    const PARKS: bool;
+    /// Whether shard `s` is crashed.
+    fn is_dead(&self, s: usize) -> bool;
+    /// Crashes shard `s` and returns its orphaned requests.
+    fn crash(&mut self, s: usize, now: f64) -> Vec<usize>;
+    /// Revives the crashed shard `s`.
+    fn revive(&mut self, s: usize);
+    /// Sets shard `s`'s service-time multiplier, re-pricing in-flight work.
+    fn slow(&mut self, s: usize, factor: f64, now: f64);
+    /// Requests KV-resident on shard `s` with generation left (the fleet
+    /// holds none).
+    fn unfinished(&self, s: usize) -> Vec<usize>;
+    /// Original arrival time of request `r`.
+    fn arrival_s(&self, r: usize) -> f64;
+    /// Cancels request `r` if it is still waiting for service; `false`
+    /// when it was already served, is executing, or waits nowhere.
+    fn give_up(&mut self, r: usize, now: f64) -> bool;
+    /// Re-issues request `r` as a fresh arrival at `t`.
+    fn retry_at(&mut self, r: usize, t: f64);
+    /// Counts one request as given up on for good.
+    fn abandon(&mut self);
+}
+
+impl FaultTarget for FleetCore<'_> {
+    const PARKS: bool = true;
+
+    fn is_dead(&self, s: usize) -> bool {
+        self.dead[s]
+    }
+
+    fn crash(&mut self, s: usize, now: f64) -> Vec<usize> {
+        self.crash_shard(s, now)
+    }
+
+    fn revive(&mut self, s: usize) {
+        self.revive_shard(s);
+    }
+
+    fn slow(&mut self, s: usize, factor: f64, now: f64) {
+        self.set_slowdown(s, factor, now);
+    }
+
+    fn unfinished(&self, _s: usize) -> Vec<usize> {
+        Vec::new()
+    }
+
+    fn arrival_s(&self, r: usize) -> f64 {
+        self.trace[r].arrival_s
+    }
+
+    fn give_up(&mut self, r: usize, now: f64) -> bool {
+        !self.completion_s[r].is_finite() && self.cancel_waiting(r, now)
+    }
+
+    fn retry_at(&mut self, r: usize, t: f64) {
+        self.schedule_arrival(r, t);
+    }
+
+    fn abandon(&mut self) {
+        self.abandoned += 1;
+    }
+}
+
+/// A request that already started emitting tokens is never given up on —
+/// its KV state is live, and mid-generation timeouts are not part of this
+/// client model ([`DecodeCore::cancel_waiting`] refuses them).
+impl FaultTarget for DecodeCore<'_> {
+    const PARKS: bool = false;
+
+    fn is_dead(&self, s: usize) -> bool {
+        self.dead[s]
+    }
+
+    fn crash(&mut self, s: usize, now: f64) -> Vec<usize> {
+        self.crash_shard(s, now)
+    }
+
+    fn revive(&mut self, s: usize) {
+        self.revive_shard(s);
+    }
+
+    fn slow(&mut self, s: usize, factor: f64, now: f64) {
+        self.set_slowdown(s, factor, now);
+    }
+
+    fn unfinished(&self, s: usize) -> Vec<usize> {
+        self.shards[s]
+            .resident
+            .iter()
+            .map(|sl| sl.req)
+            .filter(|&r| self.emitted[r] < self.trace[r].output_len)
+            .collect()
+    }
+
+    fn arrival_s(&self, r: usize) -> f64 {
+        self.trace[r].arrival_s
+    }
+
+    fn give_up(&mut self, r: usize, now: f64) -> bool {
+        !self.completion_s[r].is_finite() && self.cancel_waiting(r, now)
+    }
+
+    fn retry_at(&mut self, r: usize, t: f64) {
+        self.schedule_arrival(r, t);
+    }
+
+    fn abandon(&mut self) {
+        self.abandoned += 1;
+    }
+}
+
+/// The inner controller's crash and recovery hooks, for either engine.
+pub(crate) trait ShardHooks<E> {
+    /// Forwards `on_shard_down`.
+    fn shard_down(&mut self, e: &mut E, s: usize, now: f64);
+    /// Forwards `on_shard_up`.
+    fn shard_up(&mut self, e: &mut E, s: usize, now: f64);
+}
+
+impl<'a, C: FleetController> ShardHooks<FleetCore<'a>> for C {
+    fn shard_down(&mut self, e: &mut FleetCore<'a>, s: usize, now: f64) {
+        self.on_shard_down(e, s, now);
+    }
+
+    fn shard_up(&mut self, e: &mut FleetCore<'a>, s: usize, now: f64) {
+        self.on_shard_up(e, s, now);
+    }
+}
+
+impl<'a, C: DecodeController> ShardHooks<DecodeCore<'a>> for C {
+    fn shard_down(&mut self, e: &mut DecodeCore<'a>, s: usize, now: f64) {
+        self.on_shard_down(e, s, now);
+    }
+
+    fn shard_up(&mut self, e: &mut DecodeCore<'a>, s: usize, now: f64) {
+        self.on_shard_up(e, s, now);
+    }
+}
+
+/// The one fault injector: applies a [`FaultPlan`] and enforces
+/// [`ClientConfig`] timeouts on either engine, wrapping an inner
+/// controller (the no-op one for fixed fleets, the
+/// [`crate::autoscale::PoolScaler`] for an
+/// autoscaled fleet, the disaggregation controller) whose hooks it
+/// forwards.
+///
+/// Decode engines cannot park work, which brings two specifics: a
+/// straggler is closed to routing while another shard is open (its
+/// waiting work flees; its KV residents follow `straggler_response` —
+/// [`DecodeScaleDown::Drain`] decodes them in place at the slow rate,
+/// [`DecodeScaleDown::Migrate`] evicts them at the next iteration boundary
+/// to re-prefill on a healthy shard); and a crash that leaves only closed
+/// live stragglers reopens them — like a sole shard, they are the last
+/// place work can go.
+pub(crate) struct FaultInjector<C> {
     inner: C,
     actions: Vec<(f64, Action)>,
     next_action: usize,
@@ -558,190 +756,16 @@ struct FleetFaultInjector<C: FleetController> {
     attempts: Vec<u32>,
     /// Total retry events.
     retries: usize,
-}
-
-impl<C: FleetController> FleetFaultInjector<C> {
-    fn new(inner: C, plan: &FaultPlan, client: ClientConfig, n_requests: usize) -> Self {
-        Self {
-            inner,
-            actions: plan.actions(),
-            next_action: 0,
-            client,
-            timeout_at: vec![f64::INFINITY; n_requests],
-            attempts: vec![0; n_requests],
-            retries: 0,
-        }
-    }
-
-    /// Schedules a control event at every fault instant and every
-    /// first-attempt timeout. Call once before `core.run`.
-    fn prime(&mut self, core: &mut FleetCore<'_>) {
-        for &(t, _) in &self.actions {
-            core.schedule_control(t);
-        }
-        if self.client.timeout_s.is_finite() {
-            for r in 0..core.trace.len() {
-                self.timeout_at[r] = core.trace[r].arrival_s + self.client.timeout_s;
-                core.schedule_control(self.timeout_at[r]);
-            }
-        }
-    }
-
-    /// Applies every action due at `now` (crash / revive / re-price).
-    fn apply_due_actions(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        while self.next_action < self.actions.len() && self.actions[self.next_action].0 <= now {
-            let action = self.actions[self.next_action].1;
-            self.next_action += 1;
-            match action {
-                Action::Down(s) => {
-                    let orphans = core.crash_shard(s, now);
-                    self.inner.on_shard_down(core, s, now);
-                    // Re-admit the dead shard's work among survivors; if
-                    // none accepts (total outage) `admit` parks it until
-                    // capacity returns. Orphans' batching windows have
-                    // long expired, so survivors dispatch them at once.
-                    let mut touched = Vec::new();
-                    for r in orphans {
-                        if let Some(s2) = core.admit(r, now) {
-                            if !touched.contains(&s2) {
-                                touched.push(s2);
-                            }
-                        }
-                    }
-                    for s2 in touched {
-                        core.try_dispatch(s2, now);
-                    }
-                }
-                Action::Up(s) => {
-                    core.revive_shard(s);
-                    self.inner.on_shard_up(core, s, now);
-                }
-                Action::Slow { shard, factor } => core.set_slowdown(shard, factor, now),
-                Action::Unslow(s) => core.set_slowdown(s, 1.0, now),
-            }
-        }
-    }
-
-    /// Fires every client timeout due at `now`: a still-waiting request
-    /// is cancelled, then retried (backoff-delayed, budget permitting) or
-    /// abandoned. Requests already executing are left alone — their
-    /// timeout simply lapses.
-    fn apply_due_timeouts(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        for r in 0..self.timeout_at.len() {
-            if self.timeout_at[r] > now {
-                continue;
-            }
-            self.timeout_at[r] = f64::INFINITY;
-            if core.completion_s[r].is_finite() {
-                continue; // dispatched (or done): the client got service
-            }
-            if !core.cancel_waiting(r, now) {
-                continue; // not waiting anywhere: nothing to give up on
-            }
-            match self
-                .client
-                .on_timeout(now, core.trace[r].arrival_s, self.attempts[r])
-            {
-                RetryDecision::Retry {
-                    retry_at,
-                    timeout_at,
-                } => {
-                    self.attempts[r] += 1;
-                    self.retries += 1;
-                    core.schedule_arrival(r, retry_at);
-                    if timeout_at.is_finite() {
-                        self.timeout_at[r] = timeout_at;
-                        core.schedule_control(timeout_at);
-                    }
-                }
-                RetryDecision::Abandon => core.abandoned += 1,
-            }
-        }
-    }
-
-    /// True when nothing can ever change again: every fault applied, no
-    /// pending timeout, *every* shard dead with no recovery coming,
-    /// nothing queued or in flight. Whatever is still parked is stranded
-    /// — counted abandoned so an inner autoscaler's evaluation tick chain
-    /// stops and the heap can drain (the
-    /// unrecovered-total-outage-with-a-patient-client end state). A
-    /// merely cold shard does NOT make a dead end: an autoscaler can
-    /// relaunch it, so the run must keep ticking.
-    fn fleet_dead_end(&self, core: &FleetCore<'_>) -> bool {
-        self.next_action >= self.actions.len()
-            && self.timeout_at.iter().all(|t| t.is_infinite())
-            && core.dead.iter().all(|&d| d)
-            && core.state.iter().all(|st| !st.busy && st.queue.is_empty())
-    }
-}
-
-impl<C: FleetController> FleetController for FleetFaultInjector<C> {
-    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        self.apply_due_actions(core, now);
-        self.apply_due_timeouts(core, now);
-        if !core.parked.is_empty() && self.fleet_dead_end(core) {
-            core.abandoned = core.trace.len() - core.completed();
-        }
-        // The inner controller ticks after faults and timeouts settle, so
-        // an autoscaler's same-instant warm-up completions see the
-        // post-fault fleet …
-        self.inner.on_control(core, now);
-        // … and parked outage work re-enters as soon as any shard
-        // accepts again (a revival above, or a warm-up that just
-        // finished).
-        if !core.parked.is_empty() && core.accepting.iter().any(|&a| a) {
-            let parked = std::mem::take(&mut core.parked);
-            let mut touched = Vec::new();
-            for r in parked {
-                if let Some(s) = core.admit(r, now) {
-                    if !touched.contains(&s) {
-                        touched.push(s);
-                    }
-                }
-            }
-            for s in touched {
-                core.try_dispatch(s, now);
-            }
-        }
-    }
-
-    fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.inner.after_completion(core, shard, now);
-    }
-
-    fn on_shard_down(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_down(core, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
-    }
-}
-
-// ─────────────────────────── decode injector ───────────────────────────
-
-/// `DecodeController` twin of `FleetFaultInjector`. Two decode
-/// specifics: the engine cannot park work, so a plan must always leave a
-/// survivor; and a straggler's KV residents follow `straggler_response` —
-/// [`DecodeScaleDown::Drain`] decodes them in place at the slow rate,
-/// [`DecodeScaleDown::Migrate`] evicts them at the next iteration
-/// boundary to re-prefill on a healthy shard.
-struct DecodeFaultInjector<C: DecodeController> {
-    inner: C,
-    actions: Vec<(f64, Action)>,
-    next_action: usize,
-    client: ClientConfig,
-    timeout_at: Vec<f64>,
-    attempts: Vec<u32>,
-    retries: usize,
     straggler_response: DecodeScaleDown,
     /// Shards whose residents await eviction at the next step boundary.
     migrate_from: Vec<bool>,
+    /// Stragglers closed to routing while they were open.
+    closed: Vec<bool>,
     /// Requests KV-resident on a faulty shard at fault onset.
     affected: Vec<usize>,
 }
 
-impl<C: DecodeController> DecodeFaultInjector<C> {
+impl<C> FaultInjector<C> {
     fn new(
         inner: C,
         plan: &FaultPlan,
@@ -760,121 +784,113 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
             retries: 0,
             straggler_response,
             migrate_from: vec![false; n_shards],
+            closed: vec![false; n_shards],
             affected: Vec::new(),
         }
     }
 
     /// Schedules a control event at every fault instant and every
     /// first-attempt timeout. Call once before `core.run`.
-    fn prime(&mut self, core: &mut DecodeCore<'_>) {
+    fn prime(&mut self, e: &mut impl FaultTarget) {
         for &(t, _) in &self.actions {
-            core.schedule_control(t);
+            e.control_at(t);
         }
         if self.client.timeout_s.is_finite() {
-            for r in 0..core.trace.len() {
-                self.timeout_at[r] = core.trace[r].arrival_s + self.client.timeout_s;
-                core.schedule_control(self.timeout_at[r]);
+            for (r, t) in self.timeout_at.iter_mut().enumerate() {
+                *t = e.arrival_s(r) + self.client.timeout_s;
+                e.control_at(*t);
             }
         }
     }
 
-    /// Records the shard's unfinished residents as incident victims.
-    fn record_affected(&mut self, core: &DecodeCore<'_>, s: usize) {
-        for sl in &core.shards[s].resident {
-            if core.emitted[sl.req] < core.trace[sl.req].output_len
-                && !self.affected.contains(&sl.req)
-            {
-                self.affected.push(sl.req);
+    /// Records shard `s`'s unfinished residents as incident victims.
+    fn note_victims(&mut self, e: &impl FaultTarget, s: usize) {
+        for r in e.unfinished(s) {
+            if !self.affected.contains(&r) {
+                self.affected.push(r);
             }
         }
     }
 
-    fn apply_due_actions(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        while self.next_action < self.actions.len() && self.actions[self.next_action].0 <= now {
-            let action = self.actions[self.next_action].1;
+    /// Applies every fault action (crash / revive / re-price) and then
+    /// every client timeout due at `now`. A timed-out request still
+    /// waiting is cancelled, then retried (backoff-delayed, budget
+    /// permitting) or abandoned; requests already executing are left alone
+    /// — their timeout simply lapses.
+    fn apply_due<E: FaultTarget>(&mut self, e: &mut E, now: f64)
+    where
+        C: ShardHooks<E>,
+    {
+        let n_shards = self.closed.len();
+        let any_open = |e: &E, except: usize| (0..n_shards).any(|i| i != except && e.is_open(i));
+        while let Some(&(t, action)) = self.actions.get(self.next_action) {
+            if t > now {
+                break;
+            }
             self.next_action += 1;
             match action {
                 Action::Down(s) => {
-                    self.record_affected(core, s);
-                    let orphans = core.crash_shard(s, now);
-                    self.inner.on_shard_down(core, s, now);
+                    self.note_victims(e, s);
+                    let orphans = e.crash(s, now);
+                    self.inner.shard_down(e, s, now);
+                    self.closed[s] = false;
+                    if !E::PARKS && !any_open(e, usize::MAX) {
+                        // Only closed live stragglers are left: like a
+                        // sole shard, they keep taking (and keep) work.
+                        for i in 0..n_shards {
+                            if std::mem::take(&mut self.closed[i]) {
+                                e.set_open(i, true);
+                                self.migrate_from[i] = false;
+                            }
+                        }
+                    }
                     assert!(
-                        core.accepting.iter().any(|&a| a),
+                        E::PARKS || any_open(e, usize::MAX),
                         "decode fault plan killed every accepting shard \
                          (the decode engine cannot park work)"
                     );
-                    let mut touched = Vec::new();
-                    for r in orphans {
-                        let s2 = core.route_request(r, now);
-                        if !touched.contains(&s2) {
-                            touched.push(s2);
-                        }
-                    }
-                    for s2 in touched {
-                        core.start_iteration(s2, now);
-                    }
+                    // The fleet parks the orphans during a total outage.
+                    e.readmit(orphans, now);
                 }
                 Action::Up(s) => {
-                    core.revive_shard(s);
-                    self.inner.on_shard_up(core, s, now);
+                    e.revive(s);
+                    self.inner.shard_up(e, s, now);
                 }
                 Action::Slow { shard: s, factor } => {
-                    self.record_affected(core, s);
-                    core.set_slowdown(s, factor, now);
-                    let has_other = core.accepting.iter().enumerate().any(|(i, &a)| a && i != s);
-                    if !has_other {
-                        continue; // sole shard: nowhere to shift work to
-                    }
-                    // Waiting work always flees a straggler; what happens
-                    // to its residents is the drain-vs-migrate choice.
-                    core.accepting[s] = false;
-                    core.shards[s].tick(now);
-                    let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-                    let mut touched = Vec::new();
-                    for r in waiting {
-                        let s2 = core.route_request(r, now);
-                        if !touched.contains(&s2) {
-                            touched.push(s2);
-                        }
-                    }
-                    if self.straggler_response == DecodeScaleDown::Migrate {
-                        if core.shards[s].stepping {
-                            self.migrate_from[s] = true; // evict at the boundary
-                        } else {
-                            core.evict_unfinished(s, now, &mut touched);
-                        }
-                    }
-                    for s2 in touched {
-                        core.start_iteration(s2, now);
+                    self.note_victims(e, s);
+                    e.slow(s, factor, now);
+                    // Waiting work flees a decode straggler unless no
+                    // other shard is open (nowhere to shift work to).
+                    if !E::PARKS && any_open(e, s) {
+                        self.closed[s] = e.is_open(s);
+                        e.set_open(s, false);
+                        let migrate = self.straggler_response == DecodeScaleDown::Migrate;
+                        self.migrate_from[s] = e.retire_move(s, now, migrate).is_none();
                     }
                 }
                 Action::Unslow(s) => {
-                    core.set_slowdown(s, 1.0, now);
-                    self.migrate_from[s] = false;
-                    if !core.dead[s] {
-                        core.accepting[s] = true;
+                    e.slow(s, 1.0, now);
+                    if !E::PARKS {
+                        self.migrate_from[s] = false;
+                        self.closed[s] = false;
+                        if !e.is_dead(s) {
+                            e.set_open(s, true);
+                        }
                     }
                 }
             }
         }
-    }
-
-    /// Decode twin of the fleet injector's timeout pass. A request that
-    /// already started emitting tokens is never abandoned — its KV state
-    /// is live, and mid-generation timeouts are not part of this client
-    /// model ([`DecodeCore::cancel_waiting`] refuses them).
-    fn apply_due_timeouts(&mut self, core: &mut DecodeCore<'_>, now: f64) {
         for r in 0..self.timeout_at.len() {
             if self.timeout_at[r] > now {
                 continue;
             }
             self.timeout_at[r] = f64::INFINITY;
-            if core.completion_s[r].is_finite() || !core.cancel_waiting(r, now) {
+            if !e.give_up(r, now) {
                 continue;
             }
             match self
                 .client
-                .on_timeout(now, core.trace[r].arrival_s, self.attempts[r])
+                .on_timeout(now, e.arrival_s(r), self.attempts[r])
             {
                 RetryDecision::Retry {
                     retry_at,
@@ -882,160 +898,181 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                 } => {
                     self.attempts[r] += 1;
                     self.retries += 1;
-                    core.schedule_arrival(r, retry_at);
+                    e.retry_at(r, retry_at);
                     if timeout_at.is_finite() {
                         self.timeout_at[r] = timeout_at;
-                        core.schedule_control(timeout_at);
+                        e.control_at(timeout_at);
                     }
                 }
-                RetryDecision::Abandon => core.abandoned += 1,
+                RetryDecision::Abandon => e.abandon(),
             }
+        }
+    }
+
+    /// Latest completion among the incident's KV-resident victims (0 if
+    /// none, `f64::INFINITY` if one never finished).
+    fn affected_drain_s(&self, completion_s: &[f64]) -> f64 {
+        self.affected
+            .iter()
+            .map(|&r| {
+                if completion_s[r].is_finite() {
+                    completion_s[r]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .fold(0.0f64, f64::max)
+    }
+
+    /// The one client-view assembler: outcomes, tallies, SLO attainment
+    /// and the pre / during / post incident phases of a finished run.
+    /// `latency(r)` is the SLO/phase metric — end-to-end for the fleet
+    /// client, TTFT for decode — and is non-finite for a request that
+    /// never got there. The only mode branch: `Exact` retains the
+    /// per-request outcomes and takes nearest-rank phase p95s; `Streaming`
+    /// retains neither and sketches the p95s (within 1% of the exact
+    /// ranks).
+    #[allow(clippy::too_many_arguments)]
+    fn client_view(
+        &self,
+        mode: ReportMode,
+        plan: &FaultPlan,
+        arrivals: &[f64],
+        completion_s: &[f64],
+        latency: &dyn Fn(usize) -> f64,
+        slo: f64,
+        makespan: f64,
+        scale_events: &[ScaleEvent],
+    ) -> ClientView {
+        let exact = mode == ReportMode::Exact;
+        let n = arrivals.len();
+        let done = |r: usize| completion_s[r].is_finite();
+        let completed = (0..n).filter(|&r| done(r)).count();
+        let outcomes = if exact {
+            (0..n)
+                .map(|r| {
+                    let attempts = self.attempts[r];
+                    let completion_s = if done(r) {
+                        completion_s[r]
+                    } else {
+                        f64::INFINITY
+                    };
+                    ClientOutcome {
+                        disposition: if !done(r) {
+                            Disposition::TimedOut
+                        } else if attempts > 0 {
+                            Disposition::Retried(attempts)
+                        } else {
+                            Disposition::Completed
+                        },
+                        attempts,
+                        completion_s,
+                        latency_s: completion_s - arrivals[r],
+                    }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // An unrecovered incident leaves the post phase empty (`[∞, ∞)`),
+        // keeping the three-phase shape stable for downstream indexing.
+        let window = plan
+            .incident_window()
+            .map_or(Vec::new(), |(w0, w1)| vec![w0, w1]);
+        let phases = slice_phases(&window, arrivals, completion_s, latency, slo, exact)
+            .into_iter()
+            .map(|t| {
+                let hi = if t.end_s.is_finite() {
+                    t.end_s
+                } else {
+                    makespan.max(t.start_s)
+                };
+                IncidentPhase {
+                    start_s: t.start_s,
+                    end_s: t.end_s,
+                    arrivals: t.arrivals,
+                    completed: t.completed,
+                    timed_out: t.arrivals - t.completed,
+                    slo_attainment: t.slo_attainment(),
+                    goodput_seq_s: t.delivered as f64 / (hi - t.start_s).max(1e-12),
+                    p95_latency_s: t.p95_s,
+                    scale_events: scale_events
+                        .iter()
+                        .filter(|e| e.time_s >= t.start_s && e.time_s < t.end_s)
+                        .count(),
+                }
+            })
+            .collect();
+        ClientView {
+            outcomes,
+            completed,
+            timed_out: n - completed,
+            retried: (0..n).filter(|&r| done(r) && self.attempts[r] > 0).count(),
+            slo_attainment: slo_attainment(n, latency, slo),
+            phases,
         }
     }
 }
 
-impl<C: DecodeController> DecodeController for DecodeFaultInjector<C> {
+impl<C: FleetController> FleetController for FaultInjector<C> {
+    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
+        self.apply_due(core, now);
+        // A dead end — every fault applied, no pending timeout, *every*
+        // shard dead with no recovery coming, nothing queued or in
+        // flight — strands whatever is parked: count it abandoned so an
+        // inner scaler's tick chain stops and the heap can drain (the
+        // unrecovered-total-outage-with-a-patient-client end state). A
+        // merely cold shard is no dead end: a scaler can relaunch it.
+        if !core.parked.is_empty()
+            && self.next_action >= self.actions.len()
+            && self.timeout_at.iter().all(|t| t.is_infinite())
+            && core.dead.iter().all(|&d| d)
+            && (0..core.state.len()).all(|s| core.idle(s))
+        {
+            core.abandoned = core.trace.len() - core.completed();
+        }
+        // The inner controller ticks after faults and timeouts settle, so
+        // an autoscaler's same-instant warm-up completions see the
+        // post-fault fleet …
+        self.inner.on_control(core, now);
+        // … and parked outage work re-enters as soon as any shard
+        // accepts again (a revival above, or a warm-up that just
+        // finished).
+        if !core.parked.is_empty() && core.accepting.iter().any(|&a| a) {
+            let parked = std::mem::take(&mut core.parked);
+            core.readmit(parked, now);
+        }
+    }
+
+    fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
+        self.inner.after_completion(core, shard, now);
+    }
+}
+
+impl<C: DecodeController> DecodeController for FaultInjector<C> {
     fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
         self.inner.on_arrival(core, r, now);
     }
 
     fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        self.apply_due_actions(core, now);
-        self.apply_due_timeouts(core, now);
+        self.apply_due(core, now);
         self.inner.on_control(core, now);
     }
 
     fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if self.migrate_from[shard] {
-            self.migrate_from[shard] = false;
-            let mut touched = Vec::new();
-            core.evict_unfinished(shard, now, &mut touched);
-            for s2 in touched {
-                core.start_iteration(s2, now);
-            }
+        if std::mem::take(&mut self.migrate_from[shard]) {
+            core.evict_residents(shard, now);
         }
         self.inner.after_step(core, shard, now);
-    }
-
-    fn on_shard_down(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_down(core, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
     }
 }
 
 // ──────────────────────── outcome / phase assembly ─────────────────────
 
-/// Builds per-request client outcomes from final completion times and
-/// retry counts. `arrivals` are the *original* trace arrivals.
-fn assemble_outcomes(
-    arrivals: &[f64],
-    completion_s: &[f64],
-    attempts: &[u32],
-) -> Vec<ClientOutcome> {
-    (0..arrivals.len())
-        .map(|r| {
-            let done = completion_s[r].is_finite();
-            ClientOutcome {
-                disposition: if !done {
-                    Disposition::TimedOut
-                } else if attempts[r] > 0 {
-                    Disposition::Retried(attempts[r])
-                } else {
-                    Disposition::Completed
-                },
-                attempts: attempts[r],
-                completion_s: if done { completion_s[r] } else { f64::INFINITY },
-                latency_s: if done {
-                    completion_s[r] - arrivals[r]
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect()
-}
-
-/// Slices the run into pre / during / post incident phases. With no
-/// window the whole run is one phase; an unrecovered incident leaves the
-/// post phase empty (`[∞, ∞)`), keeping the three-phase shape stable for
-/// downstream indexing.
-fn build_phases(
-    window: Option<(f64, f64)>,
-    arrivals: &[f64],
-    outcomes: &[ClientOutcome],
-    slo: f64,
-    makespan: f64,
-    scale_events: &[ScaleEvent],
-) -> Vec<IncidentPhase> {
-    let edges: Vec<f64> = match window {
-        None => vec![0.0, f64::INFINITY],
-        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
-    };
-    edges
-        .windows(2)
-        .map(|w| {
-            let (lo, hi) = (w[0], w[1]);
-            let in_phase: Vec<&ClientOutcome> = arrivals
-                .iter()
-                .zip(outcomes)
-                .filter(|(&a, _)| a >= lo && a < hi)
-                .map(|(_, o)| o)
-                .collect();
-            let completed_lat: Vec<f64> = in_phase
-                .iter()
-                .filter(|o| o.latency_s.is_finite())
-                .map(|o| o.latency_s)
-                .collect();
-            let delivered = outcomes
-                .iter()
-                .filter(|o| o.completion_s >= lo && o.completion_s < hi)
-                .count();
-            let hi_eff = if hi.is_finite() { hi } else { makespan.max(lo) };
-            IncidentPhase {
-                start_s: lo,
-                end_s: hi,
-                arrivals: in_phase.len(),
-                completed: completed_lat.len(),
-                timed_out: in_phase.len() - completed_lat.len(),
-                slo_attainment: if in_phase.is_empty() {
-                    1.0
-                } else {
-                    completed_lat.iter().filter(|&&l| l <= slo).count() as f64
-                        / in_phase.len() as f64
-                },
-                goodput_seq_s: delivered as f64 / (hi_eff - lo).max(1e-12),
-                p95_latency_s: percentile(&completed_lat, 0.95).unwrap_or(0.0),
-                scale_events: scale_events
-                    .iter()
-                    .filter(|e| e.time_s >= lo && e.time_s < hi)
-                    .count(),
-            }
-        })
-        .collect()
-}
-
-/// (completed, timed_out, retried) tallies over an outcome slice.
-fn tally(outcomes: &[ClientOutcome]) -> (usize, usize, usize) {
-    let completed = outcomes
-        .iter()
-        .filter(|o| o.completion_s.is_finite())
-        .count();
-    let retried = outcomes
-        .iter()
-        .filter(|o| matches!(o.disposition, Disposition::Retried(_)))
-        .count();
-    (completed, outcomes.len() - completed, retried)
-}
-
-/// Everything the exact path derives from a materialized
-/// [`ClientOutcome`] vector, computed in streaming passes over the
-/// engine's per-request state instead. `latency_of(r)` is the SLO/phase
-/// latency metric (end-to-end for the fleet client, TTFT for the decode
-/// client), `f64::INFINITY` when the request never got there.
-struct StreamingAssembly {
+/// The client's view of a finished failure run
+/// ([`FaultInjector::client_view`]).
+struct ClientView {
+    outcomes: Vec<ClientOutcome>,
     completed: usize,
     timed_out: usize,
     retried: usize,
@@ -1043,89 +1080,115 @@ struct StreamingAssembly {
     phases: Vec<IncidentPhase>,
 }
 
-/// Streaming twin of the [`assemble_outcomes`] / [`tally`] /
-/// [`build_phases`] / SLO-fold chain: identical counting, but per-phase
-/// p95 latency comes from a quantile sketch fed in one pass, and no outcome
-/// vector is ever materialized.
-#[allow(clippy::too_many_arguments)]
-fn assemble_streaming(
-    window: Option<(f64, f64)>,
+impl ClientView {
+    fn into_failure(self, fleet: FleetReport, retries: usize) -> FailureReport {
+        FailureReport {
+            goodput_seq_s: self.completed as f64 / fleet.makespan_s.max(1e-12),
+            fleet,
+            outcomes: self.outcomes,
+            completed: self.completed,
+            timed_out: self.timed_out,
+            retried: self.retried,
+            retries,
+            slo_attainment: self.slo_attainment,
+            phases: self.phases,
+        }
+    }
+}
+
+/// Tallies of one arrival-time phase `[start_s, end_s)`
+/// ([`slice_phases`]).
+pub(crate) struct PhaseTally {
+    pub(crate) start_s: f64,
+    pub(crate) end_s: f64,
+    /// Requests that arrived in the phase.
+    pub(crate) arrivals: usize,
+    /// Of those, how many reached a finite latency.
+    pub(crate) completed: usize,
+    /// Of those, how many met the SLO.
+    slo_hits: usize,
+    /// Completions landing inside the phase, whoever's requests they were.
+    delivered: usize,
+    /// 95th-percentile latency of the completed arrivals (0 when none).
+    pub(crate) p95_s: f64,
+}
+
+impl PhaseTally {
+    /// Fraction of the phase's arrivals inside the SLO (misses included);
+    /// 1 for an empty phase.
+    pub(crate) fn slo_attainment(&self) -> f64 {
+        if self.arrivals == 0 {
+            1.0
+        } else {
+            self.slo_hits as f64 / self.arrivals as f64
+        }
+    }
+}
+
+/// Fraction of all `n` requests whose `latency(r)` met `slo` (a
+/// non-finite latency is a miss).
+pub(crate) fn slo_attainment(n: usize, latency: &dyn Fn(usize) -> f64, slo: f64) -> f64 {
+    (0..n).filter(|&r| latency(r) <= slo).count() as f64 / n.max(1) as f64
+}
+
+/// The one phase slicer, shared by the autoscalers' reporting phases and
+/// the failure layer's incident phases: buckets requests by arrival time
+/// along `[0, bounds…, ∞)`. `latency(r)` is non-finite for a request that
+/// never got there. `exact` takes nearest-rank p95s over the phase's
+/// retained latencies; otherwise a quantile sketch fed in one pass keeps
+/// no per-request state.
+pub(crate) fn slice_phases(
+    bounds: &[f64],
     arrivals: &[f64],
     completion_s: &[f64],
-    attempts: &[u32],
-    latency_of: &dyn Fn(usize) -> f64,
+    latency: &dyn Fn(usize) -> f64,
     slo: f64,
-    makespan: f64,
-    scale_events: &[ScaleEvent],
-) -> StreamingAssembly {
-    let n = arrivals.len();
-    let completed = completion_s.iter().filter(|c| c.is_finite()).count();
-    let retried = (0..n)
-        .filter(|&r| completion_s[r].is_finite() && attempts[r] > 0)
-        .count();
-    let slo_attainment = (0..n).filter(|&r| latency_of(r) <= slo).count() as f64 / n.max(1) as f64;
-    let edges: Vec<f64> = match window {
-        None => vec![0.0, f64::INFINITY],
-        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
-    };
-    let phases = edges
+    exact: bool,
+) -> Vec<PhaseTally> {
+    let mut edges = vec![0.0];
+    edges.extend_from_slice(bounds);
+    edges.push(f64::INFINITY);
+    edges
         .windows(2)
         .map(|w| {
             let (lo, hi) = (w[0], w[1]);
-            let mut phase_arrivals = 0usize;
-            let mut phase_completed = 0usize;
-            let mut slo_hits = 0usize;
-            let mut delivered = 0usize;
-            let mut p95 = QuantileSketch::new();
-            for r in 0..n {
-                let done = completion_s[r].is_finite();
-                if done && completion_s[r] >= lo && completion_s[r] < hi {
-                    delivered += 1;
-                }
-                if arrivals[r] >= lo && arrivals[r] < hi {
-                    phase_arrivals += 1;
-                    let l = latency_of(r);
+            let mut t = PhaseTally {
+                start_s: lo,
+                end_s: hi,
+                arrivals: 0,
+                completed: 0,
+                slo_hits: 0,
+                delivered: 0,
+                p95_s: 0.0,
+            };
+            let mut retained = Vec::new();
+            let mut sketch = QuantileSketch::new();
+            for (r, (&a, &c)) in arrivals.iter().zip(completion_s).enumerate() {
+                t.delivered += usize::from(c.is_finite() && c >= lo && c < hi);
+                if a >= lo && a < hi {
+                    t.arrivals += 1;
+                    let l = latency(r);
                     if l.is_finite() {
-                        phase_completed += 1;
-                        p95.observe(l);
-                        if l <= slo {
-                            slo_hits += 1;
+                        t.completed += 1;
+                        t.slo_hits += usize::from(l <= slo);
+                        if exact {
+                            retained.push(l);
+                        } else {
+                            sketch.observe(l);
                         }
                     }
                 }
             }
-            let hi_eff = if hi.is_finite() { hi } else { makespan.max(lo) };
-            IncidentPhase {
-                start_s: lo,
-                end_s: hi,
-                arrivals: phase_arrivals,
-                completed: phase_completed,
-                timed_out: phase_arrivals - phase_completed,
-                slo_attainment: if phase_arrivals == 0 {
-                    1.0
-                } else {
-                    slo_hits as f64 / phase_arrivals as f64
-                },
-                goodput_seq_s: delivered as f64 / (hi_eff - lo).max(1e-12),
-                p95_latency_s: if p95.count() == 0 {
-                    0.0
-                } else {
-                    p95.quantile(0.95)
-                },
-                scale_events: scale_events
-                    .iter()
-                    .filter(|e| e.time_s >= lo && e.time_s < hi)
-                    .count(),
-            }
+            t.p95_s = if exact {
+                percentile(&retained, 0.95).unwrap_or(0.0)
+            } else if sketch.count() == 0 {
+                0.0
+            } else {
+                sketch.quantile(0.95)
+            };
+            t
         })
-        .collect();
-    StreamingAssembly {
-        completed,
-        timed_out: n - completed,
-        retried,
-        slo_attainment,
-        phases,
-    }
+        .collect()
 }
 
 // ───────────────────────────── entry points ────────────────────────────
@@ -1199,73 +1262,33 @@ pub fn simulate_fleet_failure_mode(
         vec![true; shards.len()],
     );
     core.set_mode(mode);
-    let mut injector = FleetFaultInjector::new(NullController, plan, *client, trace.len());
+    let mut injector = FaultInjector::new(
+        NullController,
+        plan,
+        *client,
+        trace.len(),
+        shards.len(),
+        DecodeScaleDown::Drain,
+    );
     injector.prime(&mut core);
     core.run(&mut injector);
 
     let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &outcomes,
-                slo_latency_s,
-                fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_latency_s)
-                .count() as f64
-                / trace.len() as f64;
-            FailureReport {
-                goodput_seq_s: completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if completion_s[r].is_finite() {
-                    completion_s[r] - arrivals[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                slo_latency_s,
-                fleet.makespan_s,
-                &[],
-            );
-            FailureReport {
-                goodput_seq_s: asm.completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-            }
-        }
-    }
+    let latency = |r: usize| completion_s[r] - arrivals[r];
+    injector
+        .client_view(
+            mode,
+            plan,
+            &arrivals,
+            &completion_s,
+            &latency,
+            slo_latency_s,
+            fleet.makespan_s,
+            &[],
+        )
+        .into_failure(fleet, injector.retries)
 }
 
 /// Runs `trace` over an *autoscaled* fleet under `plan` and `client`.
@@ -1330,83 +1353,41 @@ pub fn simulate_autoscale_failure_mode(
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
     core.set_mode(mode);
-    let ctl = Autoscaler::new(cfg, shards.len());
-    let mut injector = FleetFaultInjector::new(ctl, plan, *client, trace.len());
+    let scaler = cfg.scaler(shards.len());
+    let mut injector = FaultInjector::new(
+        scaler,
+        plan,
+        *client,
+        trace.len(),
+        shards.len(),
+        DecodeScaleDown::Drain,
+    );
     injector.prime(&mut core);
-    // Unlike the healthy entry point, the controller always runs — even a
-    // pinned policy must observe crashes to keep its books truthful (for
-    // Pinned, `evaluate` is a no-op, so only the books differ).
-    core.schedule_control(cfg.eval_interval_s);
+    // Unlike the healthy entry point, the scaler always ticks — even a
+    // pinned policy must observe crashes to keep its books truthful (a
+    // pinned pool never acts, so only the books differ).
+    injector.inner.arm(&mut core);
     core.run(&mut injector);
 
     let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
     let (shard_seconds, mean_active_shards, peak_active_shards) =
-        injector.inner.close_books(fleet.makespan_s);
+        injector.inner.colocated().close_books(fleet.makespan_s);
+    let scale_events = injector.inner.take_events();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let scale_events = std::mem::take(&mut injector.inner.events);
-    let failure = match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &outcomes,
-                cfg.slo_latency_s,
-                fleet.makespan_s,
-                &scale_events,
-            );
-            let slo_attainment = outcomes
-                .iter()
-                .filter(|o| o.latency_s <= cfg.slo_latency_s)
-                .count() as f64
-                / trace.len() as f64;
-            FailureReport {
-                goodput_seq_s: completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if completion_s[r].is_finite() {
-                    completion_s[r] - arrivals[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                cfg.slo_latency_s,
-                fleet.makespan_s,
-                &scale_events,
-            );
-            FailureReport {
-                goodput_seq_s: asm.completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-            }
-        }
-    };
+    let latency = |r: usize| completion_s[r] - arrivals[r];
+    let view = injector.client_view(
+        mode,
+        plan,
+        &arrivals,
+        &completion_s,
+        &latency,
+        cfg.slo_latency_s,
+        fleet.makespan_s,
+        &scale_events,
+    );
     AutoscaleFailureReport {
-        failure,
+        failure: view.into_failure(fleet, injector.retries),
         shard_seconds,
         mean_active_shards,
         peak_active_shards,
@@ -1424,7 +1405,8 @@ pub fn simulate_autoscale_failure_mode(
 ///
 /// Panics on the [`crate::decode::simulate_decode`] input errors, a
 /// malformed plan / client, a non-positive SLO, or a plan whose crashes
-/// ever leave no accepting shard (the decode engine cannot park work).
+/// ever take down every shard at once (the decode engine cannot park
+/// work) — checked before the run starts.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_decode_failure(
     shards: &[AcceleratorDesign],
@@ -1475,6 +1457,7 @@ pub fn simulate_decode_failure_mode(
     mode: ReportMode,
 ) -> DecodeFailureReport {
     plan.validate(shards.len());
+    plan.assert_survivable(0..shards.len());
     client.validate();
     assert!(slo_ttft_s > 0.0, "SLO TTFT must be positive");
     let mut core = DecodeCore::new(
@@ -1487,7 +1470,7 @@ pub fn simulate_decode_failure_mode(
         vec![true; shards.len()],
     );
     core.set_mode(mode);
-    let mut injector = DecodeFaultInjector::new(
+    let mut injector = FaultInjector::new(
         NullDecodeController,
         plan,
         *client,
@@ -1502,91 +1485,28 @@ pub fn simulate_decode_failure_mode(
     let ttft_s = core.ttft_s.clone();
     let decode = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let affected_drain_s = injector
-        .affected
-        .iter()
-        .map(|&r| {
-            if completion_s[r].is_finite() {
-                completion_s[r]
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            // The phase / SLO latency metric for decode is TTFT, not
-            // end-to-end completion: it is what generative SLOs are
-            // written against.
-            let ttft_outcomes: Vec<ClientOutcome> = outcomes
-                .iter()
-                .enumerate()
-                .map(|(r, o)| ClientOutcome {
-                    latency_s: if ttft_s[r].is_finite() {
-                        ttft_s[r]
-                    } else {
-                        f64::INFINITY
-                    },
-                    ..*o
-                })
-                .collect();
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &ttft_outcomes,
-                slo_ttft_s,
-                decode.fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = ttft_outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_ttft_s)
-                .count() as f64
-                / trace.len() as f64;
-            DecodeFailureReport {
-                decode,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-                affected_drain_s,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if ttft_s[r].is_finite() {
-                    ttft_s[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                slo_ttft_s,
-                decode.fleet.makespan_s,
-                &[],
-            );
-            DecodeFailureReport {
-                decode,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-                affected_drain_s,
-            }
-        }
+    // The phase / SLO latency metric for decode is TTFT, not end-to-end
+    // completion: it is what generative SLOs are written against.
+    let view = injector.client_view(
+        mode,
+        plan,
+        &arrivals,
+        &completion_s,
+        &|r| ttft_s[r],
+        slo_ttft_s,
+        decode.fleet.makespan_s,
+        &[],
+    );
+    DecodeFailureReport {
+        decode,
+        outcomes: view.outcomes,
+        completed: view.completed,
+        timed_out: view.timed_out,
+        retried: view.retried,
+        retries: injector.retries,
+        slo_attainment: view.slo_attainment,
+        phases: view.phases,
+        affected_drain_s: injector.affected_drain_s(&completion_s),
     }
 }
 
@@ -1628,7 +1548,8 @@ pub struct DisaggFailureReport {
 ///
 /// Panics on the [`crate::disagg::simulate_disaggregated`] input errors,
 /// a malformed plan / client, a non-positive SLO, or a plan whose crashes
-/// leave no accepting prefill shard.
+/// ever take down every prefill shard at once — checked before the run
+/// starts.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_disagg_failure(
     prefill_shards: &[AcceleratorDesign],
@@ -1689,6 +1610,7 @@ pub fn simulate_disagg_failure_mode(
     let designs = combined_fleet(prefill_shards, decode_shards, trace, prefixes, dcfg);
     let n_prefill = prefill_shards.len();
     plan.validate(designs.len());
+    plan.assert_survivable(0..n_prefill);
     client.validate();
     assert!(slo_ttft_s > 0.0, "SLO TTFT must be positive");
     let accepting: Vec<bool> = (0..designs.len()).map(|s| s < n_prefill).collect();
@@ -1702,7 +1624,7 @@ pub fn simulate_disagg_failure_mode(
         trace.len(),
         dcfg,
     );
-    let mut injector = DecodeFaultInjector::new(
+    let mut injector = FaultInjector::new(
         ctl,
         plan,
         *client,
@@ -1717,91 +1639,27 @@ pub fn simulate_disagg_failure_mode(
     let ttft_s = core.ttft_s.clone();
     let decode = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let affected_drain_s = injector
-        .affected
-        .iter()
-        .map(|&r| {
-            if completion_s[r].is_finite() {
-                completion_s[r]
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
-    let retries = injector.retries;
-    let attempts = injector.attempts.clone();
-    let disagg = injector.inner.into_report(decode);
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let ttft_outcomes: Vec<ClientOutcome> = outcomes
-                .iter()
-                .enumerate()
-                .map(|(r, o)| ClientOutcome {
-                    latency_s: if ttft_s[r].is_finite() {
-                        ttft_s[r]
-                    } else {
-                        f64::INFINITY
-                    },
-                    ..*o
-                })
-                .collect();
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &ttft_outcomes,
-                slo_ttft_s,
-                disagg.decode.fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = ttft_outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_ttft_s)
-                .count() as f64
-                / trace.len() as f64;
-            DisaggFailureReport {
-                disagg,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries,
-                slo_attainment,
-                phases,
-                affected_drain_s,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if ttft_s[r].is_finite() {
-                    ttft_s[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &attempts,
-                &latency_of,
-                slo_ttft_s,
-                disagg.decode.fleet.makespan_s,
-                &[],
-            );
-            DisaggFailureReport {
-                disagg,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-                affected_drain_s,
-            }
-        }
+    let view = injector.client_view(
+        mode,
+        plan,
+        &arrivals,
+        &completion_s,
+        &|r| ttft_s[r],
+        slo_ttft_s,
+        decode.fleet.makespan_s,
+        &[],
+    );
+    let affected_drain_s = injector.affected_drain_s(&completion_s);
+    DisaggFailureReport {
+        disagg: injector.inner.into_report(decode),
+        outcomes: view.outcomes,
+        completed: view.completed,
+        timed_out: view.timed_out,
+        retried: view.retried,
+        retries: injector.retries,
+        slo_attainment: view.slo_attainment,
+        phases: view.phases,
+        affected_drain_s,
     }
 }
 
@@ -2377,5 +2235,80 @@ mod tests {
         assert_eq!(r.timed_out, 0);
         let multi = trace.iter().filter(|q| q.output_len > 1).count();
         assert!(r.disagg.transfers >= multi);
+    }
+
+    fn crash(shard: usize, at_s: f64, recover_s: Option<f64>) -> Fault {
+        Fault {
+            shard,
+            kind: FaultKind::Crash { at_s, recover_s },
+        }
+    }
+
+    fn run_decode_failure(n_shards: usize, plan: &FaultPlan) -> DecodeFailureReport {
+        simulate_decode_failure(
+            &homogeneous_fleet(&tiny_design(64), n_shards),
+            &steady_decode_trace(20, 0.002, 48, 12),
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::RoundRobin,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            plan,
+            &ClientConfig::patient(),
+            DecodeScaleDown::Migrate,
+            0.25,
+        )
+    }
+
+    /// Two overlapping crash windows take down the whole decode fleet:
+    /// rejected before the run, not by the mid-run assert.
+    #[test]
+    #[should_panic(expected = "fault plan crashes every shard of the pool at once")]
+    fn decode_plan_crashing_every_shard_is_rejected_up_front() {
+        let plan = FaultPlan {
+            faults: vec![crash(0, 0.01, Some(0.05)), crash(1, 0.03, None)],
+        };
+        run_decode_failure(2, &plan);
+    }
+
+    /// A recovery and a crash at the same instant count as overlapping:
+    /// which applies first depends on declaration order.
+    #[test]
+    #[should_panic(expected = "fault plan crashes every shard of the pool at once")]
+    fn touching_crash_windows_are_rejected_up_front() {
+        let plan = FaultPlan {
+            faults: vec![crash(1, 0.03, None), crash(0, 0.01, Some(0.03))],
+        };
+        run_decode_failure(2, &plan);
+    }
+
+    /// Crashing both prefill shards at once is a dead end even with the
+    /// decode pool alive: fresh arrivals only enter through prefill.
+    #[test]
+    #[should_panic(expected = "fault plan crashes every shard of the pool at once")]
+    fn disagg_plan_crashing_the_prefill_pool_is_rejected_up_front() {
+        let trace = steady_decode_trace(14, 0.002, 48, 10);
+        let plan = FaultPlan {
+            faults: vec![crash(0, 0.01, None), crash(1, 0.02, Some(0.04))],
+        };
+        run_disagg_failure(2, 2, &trace, &plan);
+    }
+
+    /// Disjoint crash windows always leave a survivor: accepted, and every
+    /// request completes. Crashing the whole decode pool is no dead end
+    /// either — handoffs fall back to the prefill pool.
+    #[test]
+    fn survivable_plans_are_accepted() {
+        let plan = FaultPlan {
+            faults: vec![crash(0, 0.01, Some(0.02)), crash(1, 0.03, None)],
+        };
+        assert_eq!(run_decode_failure(2, &plan).completed, 20);
+        let trace = steady_decode_trace(14, 0.002, 48, 10);
+        let plan = FaultPlan {
+            faults: vec![crash(2, 0.005, None), crash(3, 0.005, None)],
+        };
+        assert_eq!(
+            run_disagg_failure(2, 2, &trace, &plan).completed,
+            trace.len()
+        );
     }
 }

@@ -14,9 +14,11 @@ use lat_fpga::hwsim::autoscale::{
     AutoscaleConfig, DecodeScaleDown, RetirePolicy, ScaleEventKind, ScalePolicy,
 };
 use lat_fpga::hwsim::decode::{decode_trace, DecodeConfig, DecodeScheduler};
+use lat_fpga::hwsim::disagg::DisaggConfig;
 use lat_fpga::hwsim::failure::{
-    simulate_autoscale_failure, simulate_decode_failure, simulate_fleet_failure,
-    AutoscaleFailureReport, ClientConfig, Disposition, Fault, FaultKind, FaultPlan,
+    simulate_autoscale_failure, simulate_decode_failure, simulate_disagg_failure,
+    simulate_fleet_failure, AutoscaleFailureReport, ClientConfig, Disposition, Fault, FaultKind,
+    FaultPlan,
 };
 use lat_fpga::hwsim::fleet::{
     homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
@@ -332,4 +334,97 @@ proptest! {
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.completed + a.timed_out, n);
     }
+}
+
+/// Shard 0 straggles ×4 over [1 ms, 1 s) — closed to routing because
+/// shard 1 still accepts — then shard 1 crashes for good at 2 ms. Shard 0
+/// is alive, so the plan is not a dead end: the straggler must reopen.
+fn straggler_then_crash_plan() -> FaultPlan {
+    FaultPlan {
+        faults: vec![
+            Fault {
+                shard: 0,
+                kind: FaultKind::Straggler {
+                    from_s: 0.001,
+                    until_s: 1.0,
+                    slowdown: 4.0,
+                },
+            },
+            Fault {
+                shard: 1,
+                kind: FaultKind::Crash {
+                    at_s: 0.002,
+                    recover_s: None,
+                },
+            },
+        ],
+    }
+}
+
+fn straggler_then_crash_trace() -> Vec<lat_fpga::hwsim::decode::DecodeRequest> {
+    decode_trace(
+        &DatasetSpec::mrpc(),
+        &DatasetSpec::rte(),
+        0.2,
+        2000.0,
+        80,
+        7,
+    )
+}
+
+/// Regression: a crash that leaves only a live straggler accepting used
+/// to trip "decode fault plan killed every accepting shard" mid-run.
+#[test]
+fn decode_crash_after_straggler_closed_reopens_the_straggler() {
+    let trace = straggler_then_crash_trace();
+    for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+        let r = simulate_decode_failure(
+            &homogeneous_fleet(&tiny_design(64), 2),
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &straggler_then_crash_plan(),
+            &ClientConfig::patient(),
+            response,
+            0.25,
+        );
+        assert_eq!(r.completed, trace.len());
+        assert_eq!(r.timed_out, 0);
+        let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
+        assert_eq!(r.decode.generated_tokens, want);
+    }
+}
+
+/// The same shape inside the prefill pool of a disaggregated fleet: the
+/// surviving prefill straggler reopens, and the decode shard keeps
+/// refusing fresh arrivals.
+#[test]
+fn disagg_prefill_crash_after_straggler_closed_reopens_the_straggler() {
+    let trace = straggler_then_crash_trace();
+    let pool = homogeneous_fleet(&tiny_design(64), 2);
+    let r = simulate_disagg_failure(
+        &pool,
+        &pool[..1],
+        &trace,
+        &[],
+        SchedulingPolicy::LengthAware,
+        DispatchPolicy::JoinShortestQueue,
+        DecodeScheduler::Continuous,
+        &DecodeConfig::default(),
+        &DisaggConfig::default(),
+        &straggler_then_crash_plan(),
+        &ClientConfig::patient(),
+        DecodeScaleDown::Migrate,
+        0.25,
+    );
+    assert_eq!(r.completed, trace.len());
+    assert_eq!(r.timed_out, 0);
+    let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
+    assert_eq!(r.disagg.decode.generated_tokens, want);
+    assert_eq!(
+        r.disagg.prefill_pool.completed + r.disagg.decode_pool.completed,
+        trace.len()
+    );
 }
